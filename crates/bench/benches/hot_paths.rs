@@ -11,9 +11,8 @@ use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
     grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
 };
-use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker, GapTracker};
-use cbtc_geom::pseudo::{ConeTest, PseudoAngle, PseudoGapTracker};
-use cbtc_geom::{Alpha, Angle, Vec2};
+use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker};
+use cbtc_geom::{Alpha, Angle};
 use cbtc_graph::{spanners, SpatialGrid};
 use cbtc_radio::{PathLoss, Power, PowerSchedule};
 use cbtc_sim::{Engine, FaultConfig};
@@ -44,18 +43,8 @@ fn bench_gap_tracker(c: &mut Criterion) {
             .map(|i| Angle::new((i as f64 * 0.61803398875).fract() * std::f64::consts::TAU))
             .collect();
         // The growing-phase access pattern: insert one direction, ask for
-        // the α-gap, repeat — incremental vs re-running the batch scan.
-        group.bench_with_input(BenchmarkId::new("incremental", size), &dirs, |b, dirs| {
-            b.iter(|| {
-                let mut tracker = GapTracker::new();
-                let mut open = true;
-                for &d in std::hint::black_box(dirs) {
-                    tracker.insert(d);
-                    open &= tracker.has_alpha_gap(Alpha::FIVE_PI_SIXTHS);
-                }
-                open
-            });
-        });
+        // the α-gap, repeat — re-running the batch scan vs the flat
+        // tracker.
         group.bench_with_input(BenchmarkId::new("batch", size), &dirs, |b, dirs| {
             b.iter(|| {
                 let mut prefix: Vec<Angle> = Vec::with_capacity(dirs.len());
@@ -68,8 +57,8 @@ fn bench_gap_tracker(c: &mut Criterion) {
             });
         });
         // The flat sorted-vec tracker the hot loop actually runs: same
-        // verdicts bit-for-bit as `incremental`, O(1) per insert after
-        // the sorted insertion, allocation amortized via `reset`.
+        // verdicts bit-for-bit as `batch`, O(1) per insert after the
+        // sorted insertion, allocation amortized via `reset`.
         group.bench_with_input(BenchmarkId::new("flat", size), &dirs, |b, dirs| {
             let mut tracker = FlatGapTracker::new(Alpha::FIVE_PI_SIXTHS);
             b.iter(|| {
@@ -82,73 +71,7 @@ fn bench_gap_tracker(c: &mut Criterion) {
                 open
             });
         });
-        // The trig-free sibling: keyed on pseudo-angles, spans classified
-        // by the precomputed cone test — zero atan2 per insertion.
-        let vecs: Vec<Vec2> = dirs
-            .iter()
-            .map(|a| Vec2::new(a.radians().cos(), a.radians().sin()))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("pseudo", size), &vecs, |b, vecs| {
-            let mut tracker = PseudoGapTracker::new(Alpha::FIVE_PI_SIXTHS);
-            b.iter(|| {
-                tracker.reset(Alpha::FIVE_PI_SIXTHS);
-                let mut open = true;
-                for &v in std::hint::black_box(vecs) {
-                    tracker.insert(v);
-                    open &= tracker.has_open_gap();
-                }
-                open
-            });
-        });
     }
-    group.finish();
-}
-
-fn bench_pseudo_angle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pseudo_angle");
-    let vecs: Vec<Vec2> = (0..512)
-        .map(|i| {
-            let a = (i as f64 * 0.61803398875).fract() * std::f64::consts::TAU;
-            Vec2::new(a.cos() * 250.0, a.sin() * 250.0)
-        })
-        .collect();
-    // Sort key: one divide vs one atan2.
-    group.bench_function("sort_key_atan2_512", |b| {
-        b.iter(|| {
-            std::hint::black_box(&vecs)
-                .iter()
-                .map(|v| v.angle().radians())
-                .sum::<f64>()
-        });
-    });
-    group.bench_function("sort_key_diamond_512", |b| {
-        b.iter(|| {
-            std::hint::black_box(&vecs)
-                .iter()
-                .map(|v| PseudoAngle::from_vector(*v).value())
-                .sum::<f64>()
-        });
-    });
-    // Span-vs-α verdicts over consecutive pairs: two atan2 plus a ccw
-    // subtraction vs cross/dot signs plus one linear form.
-    group.bench_function("cone_ccw_to_512", |b| {
-        let alpha = Alpha::FIVE_PI_SIXTHS.radians() + 1e-9;
-        b.iter(|| {
-            std::hint::black_box(&vecs)
-                .windows(2)
-                .filter(|w| w[0].angle().ccw_to(w[1].angle()) > alpha)
-                .count()
-        });
-    });
-    group.bench_function("cone_pseudo_512", |b| {
-        let cone = ConeTest::for_alpha(Alpha::FIVE_PI_SIXTHS);
-        b.iter(|| {
-            std::hint::black_box(&vecs)
-                .windows(2)
-                .filter(|w| cone.exceeded_by(w[0], w[1]))
-                .count()
-        });
-    });
     group.finish();
 }
 
@@ -162,20 +85,8 @@ fn bench_grow_node_scratch(c: &mut Criterion) {
     let cell = cbtc_core::construction_cell(&layout, 500.0, n);
     let grid = SpatialGrid::from_layout(&layout, cell);
     let ids: Vec<cbtc_graph::NodeId> = layout.node_ids().take(256).collect();
-    // Growing 256 nodes with fresh buffers per node (the historical
-    // path) vs one reused scratch — what each worker thread runs.
-    group.bench_function("allocating_256_of_10k", |b| {
-        b.iter(|| {
-            std::hint::black_box(&ids)
-                .iter()
-                .map(|&u| {
-                    cbtc_core::grow_node_in_grid(&layout, &grid, u, Alpha::FIVE_PI_SIXTHS, 500.0)
-                        .discoveries
-                        .len()
-                })
-                .sum::<usize>()
-        });
-    });
+    // Growing 256 nodes with one reused scratch — what each worker
+    // thread runs.
     group.bench_function("scratch_reuse_256_of_10k", |b| {
         let mut scratch = GrowScratch::new();
         b.iter(|| {
@@ -347,7 +258,6 @@ criterion_group!(
     benches,
     bench_gap_detection,
     bench_gap_tracker,
-    bench_pseudo_angle,
     bench_grow_node_scratch,
     bench_shell_query,
     bench_centralized,

@@ -12,10 +12,10 @@
 //!
 //! Honesty rules, enforced at runtime:
 //!
-//! * the brute-force oracle runs at every size up to `--brute-max` and
-//!   its outcome is asserted equal to the grid engine's;
+//! * the brute-force oracle (`run_basic_brute`) runs at every size up
+//!   to `--brute-max` and its outcome is asserted equal to the engine's;
 //! * the parallel engine's outcome is asserted **bit-identical** to the
-//!   single-thread grid engine's at every size, 1M included;
+//!   same engine capped to one thread at every size, 1M included;
 //! * the detected core count and the thread count each mode actually
 //!   plans are recorded in the JSON, and the run **aborts** if the
 //!   machine has multiple cores but the parallel mode would run
@@ -34,12 +34,10 @@ use cbtc_core::opt::{pairwise_removal, PairwisePolicy};
 use cbtc_core::parallel::{
     detected_cores, install_metrics, planned_threads, set_thread_cap, uninstall_metrics,
 };
-use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
-    construction_cell, grow_node_metric_scratch, run_basic_with, BasicOutcome, CbtcConfig,
-    ConstructionMode, GrowScratch, Network, PAR_MIN_CHUNK,
+    construction_cell, run_basic, run_basic_brute, BasicOutcome, CbtcConfig, Network, PAR_MIN_CHUNK,
 };
-use cbtc_energy::{SurvivorTopology, TopologyPolicy};
+use cbtc_energy::{SurvivorTopology, SurvivorTracker, TopologyPolicy};
 use cbtc_geom::Alpha;
 use cbtc_graph::{NodeId, SpatialGrid};
 use cbtc_metrics::MetricsRegistry;
@@ -79,7 +77,7 @@ struct WorkerStats {
 fn observe_workers(network: &Network, alpha: Alpha) -> (WorkerStats, BasicOutcome) {
     let registry = MetricsRegistry::enabled();
     install_metrics(&registry);
-    let outcome = run_basic_with(network, alpha, ConstructionMode::GridParallel);
+    let outcome = run_basic(network, alpha);
     uninstall_metrics();
     let snap = registry.snapshot();
     let busy = snap.histogram("par.worker_busy_nanos");
@@ -183,9 +181,10 @@ fn paper_density_network(nodes: usize, seed: u64) -> (Network, f64) {
 }
 
 /// The parallel construction split into its phases, timed separately.
-/// The assembled outcome is returned so the caller can assert it equals
-/// the engine's own (the decomposition must not drift from
-/// `run_basic_with`).
+/// The grid build is timed on an identical grid built just before the
+/// run; `run_basic` builds its own, so `grow` is its wall minus that grid
+/// time. The outcome is returned so the caller can assert the phased run
+/// stayed bit-identical to the timed one.
 fn phased_parallel_run(network: &Network, alpha: Alpha) -> (PhaseSeconds, BasicOutcome) {
     let layout = network.layout();
     let r = network.max_range();
@@ -193,15 +192,11 @@ fn phased_parallel_run(network: &Network, alpha: Alpha) -> (PhaseSeconds, BasicO
     let t = Instant::now();
     let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
     let grid_build = t.elapsed().as_secs_f64();
+    drop(std::hint::black_box(grid));
 
     let t = Instant::now();
-    let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views =
-        cbtc_core::parallel::par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-            grow_node_metric_scratch(layout, &grid, &GeometricMetric, u, alpha, r, scratch)
-        });
-    let outcome = BasicOutcome::new(alpha, views);
-    let grow = t.elapsed().as_secs_f64();
+    let outcome = run_basic(network, alpha);
+    let grow = (t.elapsed().as_secs_f64() - grid_build).max(0.0);
 
     let t = Instant::now();
     let closure = outcome.symmetric_closure();
@@ -228,21 +223,17 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
     // ones best-of to damp scheduler noise.
     let rounds = if nodes >= 100_000 { 1 } else { 3 };
 
-    let (grid_seconds, grid) = best_of(rounds, || {
-        run_basic_with(&network, alpha, ConstructionMode::Grid)
-    });
-    let (parallel_seconds, parallel) = best_of(rounds, || {
-        run_basic_with(&network, alpha, ConstructionMode::GridParallel)
-    });
+    set_thread_cap(Some(1));
+    let (grid_seconds, grid) = best_of(rounds, || run_basic(&network, alpha));
+    set_thread_cap(None);
+    let (parallel_seconds, parallel) = best_of(rounds, || run_basic(&network, alpha));
     assert_eq!(
         grid, parallel,
         "parallel engine diverged from single-thread grid at n={nodes}"
     );
 
     let brute_seconds = (nodes <= brute_max).then(|| {
-        let (brute_seconds, brute) = best_of(1, || {
-            run_basic_with(&network, alpha, ConstructionMode::Brute)
-        });
+        let (brute_seconds, brute) = best_of(1, || run_basic_brute(&network, alpha));
         assert_eq!(brute, grid, "grid engine diverged from oracle at n={nodes}");
         brute_seconds
     });
@@ -250,7 +241,7 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
     let (phases, phased) = phased_parallel_run(&network, alpha);
     assert_eq!(
         phased, parallel,
-        "phase decomposition diverged from run_basic_with at n={nodes}"
+        "phased run diverged from the timed run at n={nodes}"
     );
 
     let (workers, observed) = observe_workers(&network, alpha);
@@ -281,7 +272,7 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
 /// bit-identical to the uncapped one.
 fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling {
     let (network, _) = paper_density_network(nodes, seed);
-    let reference = run_basic_with(&network, alpha, ConstructionMode::GridParallel);
+    let reference = run_basic(&network, alpha);
 
     let cores = detected_cores();
     let mut caps = vec![1usize];
@@ -298,7 +289,7 @@ fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling 
     for &cap in &caps {
         set_thread_cap(Some(cap));
         let (seconds, outcome) = best_of(if nodes >= 100_000 { 1 } else { 3 }, || {
-            run_basic_with(&network, alpha, ConstructionMode::GridParallel)
+            run_basic(&network, alpha)
         });
         assert_eq!(outcome, reference, "outcome changed under thread cap {cap}");
         let one = rows.first().map_or(seconds, |r: &ThreadRow| r.seconds);
@@ -353,7 +344,7 @@ fn bench_reconfig(deaths: usize, alpha: Alpha, seed: u64) -> ReconfigRow {
         let mut alive = vec![true; nodes];
         for &d in &order {
             alive[d.index()] = false;
-            topo.kill(&network, &[d]);
+            topo.kill(&[d]);
             assert_eq!(
                 topo.graph(),
                 &policy.build_on_survivors(&network, &alive),
@@ -376,7 +367,7 @@ fn bench_reconfig(deaths: usize, alpha: Alpha, seed: u64) -> ReconfigRow {
     let mut topo = SurvivorTopology::new(&network, policy);
     let t = Instant::now();
     for &d in &order {
-        std::hint::black_box(topo.kill(&network, &[d]));
+        std::hint::black_box(topo.kill(&[d]));
     }
     let incremental_seconds = t.elapsed().as_secs_f64();
 

@@ -1,51 +1,70 @@
-//! The centralized reference implementation of `CBTC(α)`.
+//! The construction engine of `CBTC(α)`: one growing phase and one §3
+//! optimization pipeline, generic over the [`LinkMetric`] that measures
+//! links.
 //!
 //! The distributed algorithm of Figure 1 grows each node's power through a
 //! discrete schedule; its *idealized limit* grows power continuously, so a
-//! node's final radius is exactly the distance to the neighbor whose
+//! node's final radius is exactly the cost of the neighbor whose
 //! discovery removed the last α-gap. This module computes that limit
-//! directly from the geometry. It produces the precise `rad⁻_{u,α}` values
-//! whose averages the paper's Table 1 reports, and serves as the oracle the
-//! distributed protocol is validated against.
+//! directly. On the ideal radio ([`GeometricMetric`]) it produces the
+//! precise `rad⁻_{u,α}` values whose averages the paper's Table 1
+//! reports, and serves as the reference the distributed protocol is
+//! validated against; over a stochastic channel ([`crate::phy`]) the same
+//! engine runs on effective distances.
 //!
-//! ## Output-sensitive construction
+//! ## One engine
+//!
+//! * [`grow`] — the growing phase over the whole network or an alive
+//!   mask (the §4 survivor re-run);
+//! * [`optimize`] — shrink-back, symmetric core or closure, and pairwise
+//!   removal, optionally behind the union-find connectivity guard that
+//!   off-unit-disk metrics need;
+//! * [`construct`] — [`optimize`] applied to [`grow`].
+//!
+//! [`run_basic`], [`run_centralized`] and [`run_centralized_masked`] are
+//! the geometric conveniences; the phy wrappers live in [`crate::phy`].
+//! The incremental [`crate::reconfig::DeltaTopology`] engine builds its
+//! initial state from the same grid builder and grow fan-out, and its
+//! guarded final stage reruns the same pairwise step.
+//!
+//! ## Output-sensitive growth
 //!
 //! CBTC's defining property (§2) is locality: a node's decision depends
-//! only on neighbors out to its final grow radius. The default engine
-//! exploits that — each node runs an expanding shell scan over a
-//! [`SpatialGrid`] ([`cbtc_graph::spatial::ShellScan`]), consuming
-//! candidates in `(distance, id)` order from a min-heap and maintaining
-//! the α-gap incrementally with a flat, allocation-free
+//! only on neighbors out to its final grow radius. The engine exploits
+//! that — each node runs an expanding shell scan over a [`SpatialGrid`]
+//! ([`cbtc_graph::spatial::ShellScan`]), consuming candidates in
+//! `(cost, id)` order from a min-heap and maintaining the α-gap
+//! incrementally with a flat, allocation-free
 //! [`cbtc_geom::gap::FlatGapTracker`]. Most nodes stop after a handful of
 //! rings, so the far side of the layout is never even enumerated; all
 //! transient buffers live in a per-worker [`GrowScratch`], and the
 //! per-node independence makes the whole phase a
 //! [`crate::parallel::par_map_with`]. The all-pairs scan survives as
-//! [`ConstructionMode::Brute`], the oracle the grid engine is
-//! property-tested against.
+//! [`run_basic_brute`], the oracle the engine is property-tested against.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use cbtc_geom::{gap::has_alpha_gap, gap::FlatGapTracker, Alpha, Angle, Point2};
-use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
+use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
 use serde::{Deserialize, Serialize};
 
-use crate::opt::{self, PairwisePolicy};
+use crate::opt::{self, PairwiseOutcome, PairwisePolicy};
 use crate::parallel::par_map_with;
 use crate::reconfig::{GeometricMetric, LinkMetric};
 use crate::view::{BasicOutcome, Discovery, NodeView};
 use crate::{CbtcConfig, Network};
 
 /// Smallest per-thread slice of nodes worth a thread spawn in the
-/// parallel growing phase: below ~2× this many nodes, [`run_basic`] runs
+/// parallel growing phase: below ~2× this many nodes, [`grow`] runs
 /// inline (the paper-scale 100-node networks never pay fan-out overhead).
 /// Public so the construction benchmark can report the exact thread
 /// count [`crate::parallel::planned_threads`] derives from it.
 pub const PAR_MIN_CHUNK: usize = 128;
 
 /// Runs the growing phase of `CBTC(α)` for every node, with continuous
-/// power growth.
+/// power growth over geometric distance — [`grow`] on the
+/// [`GeometricMetric`] without a mask.
 ///
 /// For each node `u`, neighbors within range `R` are discovered in order of
 /// distance (ties discovered together); growth stops at the first radius at
@@ -78,88 +97,101 @@ pub const PAR_MIN_CHUNK: usize = 128;
 /// assert_eq!(outcome.view(NodeId::new(0)).grow_radius, 100.0);
 /// ```
 pub fn run_basic(network: &Network, alpha: Alpha) -> BasicOutcome {
-    run_basic_with(network, alpha, ConstructionMode::GridParallel)
+    grow(network, &GeometricMetric, alpha, None)
 }
 
-/// Which engine [`run_basic_with`] grows the topology with.
-///
-/// All three produce **identical** outcomes (the property tests assert
-/// it); they differ only in cost. [`run_basic`] uses
-/// [`ConstructionMode::GridParallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConstructionMode {
-    /// The original all-pairs reference: every node scans all `n − 1`
-    /// candidates and re-runs the batch α-gap test per distance group.
-    /// `O(n²)` — the oracle the grid engines are validated against.
-    Brute,
-    /// Output-sensitive: per-node expanding shell scan over a
-    /// [`SpatialGrid`] with an incremental
-    /// [`FlatGapTracker`](cbtc_geom::gap::FlatGapTracker), single thread.
-    Grid,
-    /// [`ConstructionMode::Grid`] with the per-node loop fanned out over
-    /// scoped threads ([`crate::parallel::par_map`]).
-    GridParallel,
-}
-
-/// [`run_basic`] with an explicit [`ConstructionMode`] — the hook the
-/// `construction` benchmark and the equivalence tests use.
-pub fn run_basic_with(network: &Network, alpha: Alpha, mode: ConstructionMode) -> BasicOutcome {
+/// The independent oracle for the growing phase: every node scans all
+/// `n − 1` candidates, sorts them, and re-runs the batch α-gap test
+/// ([`has_alpha_gap`]) per distance group. `O(n²)`, geometric metric
+/// only, and sharing no code with [`grow`] beyond the geometry — the
+/// reference [`run_basic`] is property-tested against. Pushed through
+/// [`opt::shrink_back`], [`BasicOutcome::symmetric_closure`] /
+/// [`BasicOutcome::symmetric_core`] and [`opt::pairwise_removal`], it is
+/// the reference for [`run_centralized`] too.
+pub fn run_basic_brute(network: &Network, alpha: Alpha) -> BasicOutcome {
     let layout = network.layout();
     let r = network.max_range();
-    let views = match mode {
-        ConstructionMode::Brute => layout
-            .node_ids()
-            .map(|u| grow_node_brute(layout, u, alpha, r))
-            .collect(),
-        ConstructionMode::Grid | ConstructionMode::GridParallel => {
-            let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
-            let ids: Vec<NodeId> = layout.node_ids().collect();
-            let min_chunk = match mode {
-                ConstructionMode::Grid => usize::MAX,
-                _ => PAR_MIN_CHUNK,
-            };
-            par_map_with(&ids, min_chunk, GrowScratch::new, |scratch, &u| {
-                grow_node_metric_scratch(layout, &grid, &GeometricMetric, u, alpha, r, scratch)
-            })
-        }
-    };
+    let views = layout
+        .node_ids()
+        .map(|u| grow_node_brute(layout, u, alpha, r))
+        .collect();
     BasicOutcome::new(alpha, views)
 }
 
-/// Runs the growing phase over the surviving subset of a network: nodes
-/// with `alive[i]` false take no part — they discover nothing, are
-/// discovered by nobody, and receive the placeholder view
-/// `{discoveries: [], boundary: false, grow_radius: 0}`.
+/// The growing phase of `CBTC(α)` over an arbitrary [`LinkMetric`]:
+/// every node grows through its candidates in `(cost, id)` order until no
+/// α-gap remains or its cost budget `R` is exhausted.
 ///
-/// This is the §4 reconfiguration primitive: survivors rerun `CBTC(α)`
-/// among themselves *in place*, with no sub-layout or sub-network
-/// allocated and no ID remapping. The outcome is position-for-position
-/// identical to extracting the survivors into a fresh network and running
-/// [`run_basic`] there.
+/// With `alive = Some(mask)`, nodes whose entry is `false` take no part —
+/// they discover nothing, are discovered by nobody, and receive the
+/// placeholder [`dead_view`]. This is the §4 reconfiguration primitive:
+/// survivors rerun `CBTC(α)` among themselves *in place*, with no
+/// sub-layout allocated and no ID remapping, position-for-position
+/// identical to extracting the survivors into a fresh network and
+/// growing there.
 ///
 /// # Panics
 ///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_basic_masked(network: &Network, alpha: Alpha, alive: &[bool]) -> BasicOutcome {
+/// Panics if the mask's length differs from the network size.
+pub fn grow<M: LinkMetric + ?Sized>(
+    network: &Network,
+    metric: &M,
+    alpha: Alpha,
+    alive: Option<&[bool]>,
+) -> BasicOutcome {
     let layout = network.layout();
-    assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
     let r = network.max_range();
-    let population = alive.iter().filter(|a| **a).count();
-    let mut grid = SpatialGrid::new(construction_cell(layout, r, population));
+    let grid = construction_grid(layout, r, alive);
+    BasicOutcome::new(alpha, grow_views(layout, &grid, metric, alpha, r, alive))
+}
+
+/// The one grid builder: a [`SpatialGrid`] holding exactly the live nodes
+/// (every node without a mask), with the [`construction_cell`] of the
+/// live population.
+///
+/// # Panics
+///
+/// Panics if the mask's length differs from the layout size.
+pub(crate) fn construction_grid(
+    layout: &Layout,
+    max_range: f64,
+    alive: Option<&[bool]>,
+) -> SpatialGrid {
+    let population = match alive {
+        Some(alive) => {
+            assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
+            alive.iter().filter(|a| **a).count()
+        }
+        None => layout.len(),
+    };
+    let mut grid = SpatialGrid::new(construction_cell(layout, max_range, population));
     for (id, p) in layout.iter() {
-        if alive[id.index()] {
+        if alive.is_none_or(|alive| alive[id.index()]) {
             grid.insert(id, p);
         }
     }
+    grid
+}
+
+/// The one grow fan-out: every node's view over a prebuilt grid of the
+/// live nodes, one [`GrowScratch`] per worker; masked-out nodes get
+/// [`dead_view`].
+pub(crate) fn grow_views<M: LinkMetric + ?Sized>(
+    layout: &Layout,
+    grid: &SpatialGrid,
+    metric: &M,
+    alpha: Alpha,
+    max_range: f64,
+    alive: Option<&[bool]>,
+) -> Vec<NodeView> {
     let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        if alive[u.index()] {
-            grow_node_metric_scratch(layout, &grid, &GeometricMetric, u, alpha, r, scratch)
+    par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
+        if alive.is_none_or(|alive| alive[u.index()]) {
+            grow_node_metric_scratch(layout, grid, metric, u, alpha, max_range, scratch)
         } else {
             dead_view()
         }
-    });
-    BasicOutcome::new(alpha, views)
+    })
 }
 
 /// The placeholder view of a node excluded by an alive mask: no
@@ -219,36 +251,17 @@ impl PartialOrd for PendingCandidate {
     }
 }
 
-/// Grows one node output-sensitively over a prebuilt [`SpatialGrid`]
-/// (which must index exactly the participating nodes, `u` itself
-/// included or not — `u` is skipped either way).
-///
-/// Candidates stream in from expanding shell rings; a candidate is only
-/// *discovered* once the scan guarantees nothing nearer remains
-/// unenumerated, so discoveries happen in exact `(distance, id)` order
-/// and equidistant groups complete before the α-gap is tested — matching
-/// [`ConstructionMode::Brute`] bit for bit. Nodes that stop early never
-/// enumerate the rings beyond their grow radius.
-pub fn grow_node_in_grid(
-    layout: &Layout,
-    grid: &SpatialGrid,
-    u: NodeId,
-    alpha: Alpha,
-    max_range: f64,
-) -> NodeView {
-    grow_node_metric(layout, grid, &GeometricMetric, u, alpha, max_range)
-}
-
 /// Reusable buffers for the growing kernel: the candidate min-heap, the
 /// shell-ring staging vec, the incremental α-gap tracker and the
 /// discovery accumulator.
 ///
-/// One growth allocates all four; a scratch threaded through many growths
+/// A scratch threaded through many growths
 /// ([`grow_node_metric_scratch`]) allocates only on high-water-mark
 /// increases, so per-node heap traffic drops to the output `Vec` alone.
-/// [`run_basic_with`] keeps one scratch per worker thread
+/// [`grow`] keeps one scratch per worker thread
 /// ([`crate::parallel::par_map_with`]); the incremental
-/// [`crate::reconfig::DeltaTopology`] engine keeps one per event batch.
+/// [`crate::reconfig::DeltaTopology`] engine keeps one per re-grow
+/// worker.
 ///
 /// A scratch carries no information between nodes — every buffer is
 /// cleared (capacity retained) at the top of each growth, so results are
@@ -268,45 +281,27 @@ impl GrowScratch {
     }
 }
 
-/// [`grow_node_in_grid`] over an arbitrary [`LinkMetric`]: an expanding
-/// shell scan in *geometric* space consuming candidates in *metric-cost*
-/// order — the one growing-phase kernel behind the ideal construction,
-/// the phy construction ([`crate::phy`]) and the incremental
-/// [`crate::reconfig::DeltaTopology`] engine.
+/// Grows one node output-sensitively over a prebuilt [`SpatialGrid`]
+/// (which must index exactly the participating nodes, `u` itself
+/// included or not — `u` is skipped either way): an expanding shell scan
+/// in *geometric* space consuming candidates in *metric-cost* order, with
+/// all transient state borrowed from a caller-owned [`GrowScratch`].
 ///
-/// Allocates a fresh [`GrowScratch`] per call; loops over many nodes
-/// should use [`grow_node_metric_scratch`] directly.
-pub fn grow_node_metric<M: LinkMetric + ?Sized>(
-    layout: &Layout,
-    grid: &SpatialGrid,
-    metric: &M,
-    u: NodeId,
-    alpha: Alpha,
-    max_range: f64,
-) -> NodeView {
-    grow_node_metric_scratch(
-        layout,
-        grid,
-        metric,
-        u,
-        alpha,
-        max_range,
-        &mut GrowScratch::new(),
-    )
-}
-
-/// The scratch-reusing growing kernel: `grow_node_metric` with all
-/// transient state borrowed from a caller-owned [`GrowScratch`].
+/// Candidates stream in from expanding shell rings; a candidate is only
+/// *discovered* once the scan guarantees nothing cheaper remains
+/// unenumerated, so discoveries happen in exact `(cost, id)` order and
+/// equal-cost groups complete before the α-gap is tested — matching
+/// [`run_basic_brute`] bit for bit on the geometric metric. Nodes that
+/// stop early never enumerate the rings beyond their grow radius.
 ///
 /// The scan's completeness guarantee is geometric (every node nearer than
 /// `guaranteed_radius` has been enumerated); since an unenumerated node
 /// at geometric distance ≥ G has cost ≥ `G / reach_boost`, the heap's
 /// head is safe to discover once its cost falls below that bound. With
-/// [`GeometricMetric`] both bounds collapse to the geometric ones and
-/// this is bit-identical to the classic grid walk. The α-gap verdict
-/// comes from a radian-keyed [`FlatGapTracker`], whose spans are the
-/// same `ccw_to` arithmetic the historical `GapTracker` ran — outputs
-/// are bit-identical to every earlier engine, with near-zero allocation.
+/// [`GeometricMetric`] both bounds collapse to the geometric ones. The
+/// α-gap verdict comes from a radian-keyed [`FlatGapTracker`], whose
+/// spans are the same `ccw_to` arithmetic the batch [`has_alpha_gap`]
+/// scan runs.
 pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
     layout: &Layout,
     grid: &SpatialGrid,
@@ -402,9 +397,8 @@ pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
     }
 }
 
-/// The original all-pairs growing phase, kept as the validation oracle:
-/// scans every candidate, sorts, and re-tests the batch α-gap per
-/// distance group.
+/// One node of [`run_basic_brute`]: scans every candidate, sorts, and
+/// re-tests the batch α-gap per distance group.
 fn grow_node_brute(layout: &Layout, u: NodeId, alpha: Alpha, r: f64) -> NodeView {
     // All candidates within max range, in discovery order.
     let mut candidates: Vec<Discovery> = layout
@@ -459,6 +453,7 @@ pub struct CbtcRun {
     after_shrink: Option<BasicOutcome>,
     graph: UndirectedGraph,
     pairwise_removed: Vec<(NodeId, NodeId)>,
+    pairwise_restored: Vec<(NodeId, NodeId)>,
 }
 
 impl CbtcRun {
@@ -500,6 +495,14 @@ impl CbtcRun {
         &self.pairwise_removed
     }
 
+    /// The redundant edges the connectivity guard put back because their
+    /// removal would have split a component — empty unless the run was
+    /// guarded, always empty on the unit disk (Theorem 3.6 holds there),
+    /// and a direct measurement of how often §3.3 over-prunes off it.
+    pub fn pairwise_restored(&self) -> &[(NodeId, NodeId)] {
+        &self.pairwise_restored
+    }
+
     /// Whether the final graph preserves the connectivity of `full`
     /// (normally `network.max_power_graph()`), the Theorem 2.1 property.
     pub fn preserves_connectivity_of(&self, full: &UndirectedGraph) -> bool {
@@ -509,7 +512,8 @@ impl CbtcRun {
 
 /// Runs `CBTC(α)` centrally with the configured optimizations, in the
 /// paper's order: grow, shrink-back (§3.1), asymmetric edge removal (§3.2),
-/// pairwise edge removal (§3.3).
+/// pairwise edge removal (§3.3) — [`construct`] on the
+/// [`GeometricMetric`], unmasked and unguarded.
 ///
 /// # Example
 ///
@@ -527,31 +531,64 @@ impl CbtcRun {
 /// assert!(run.preserves_connectivity_of(&net.max_power_graph()));
 /// ```
 pub fn run_centralized(network: &Network, config: &CbtcConfig) -> CbtcRun {
-    optimize(network, config, run_basic(network, config.alpha()))
+    construct(network, &GeometricMetric, config, None, false)
 }
 
-/// [`run_centralized`] over the surviving subset of a network: the growth
-/// phase is [`run_basic_masked`], and the §3 optimizations see masked-out
-/// nodes as isolated (empty views contribute no edges and no pairwise
-/// witnesses). The resulting graph lives on the **original** node set with
-/// every dead node isolated — edge-for-edge what extracting the survivors
-/// into a fresh network, running [`run_centralized`], and mapping the IDs
-/// back would produce, minus all of those allocations.
+/// [`run_centralized`] over the surviving subset of a network: the §3
+/// optimizations see masked-out nodes as isolated (empty views contribute
+/// no edges and no pairwise witnesses). The resulting graph lives on the
+/// **original** node set with every dead node isolated — edge-for-edge
+/// what extracting the survivors into a fresh network, running
+/// [`run_centralized`], and mapping the IDs back would produce, minus all
+/// of those allocations.
 ///
 /// # Panics
 ///
 /// Panics if `alive.len()` differs from the network size.
 pub fn run_centralized_masked(network: &Network, config: &CbtcConfig, alive: &[bool]) -> CbtcRun {
-    optimize(
-        network,
-        config,
-        run_basic_masked(network, config.alpha(), alive),
-    )
+    construct(network, &GeometricMetric, config, Some(alive), false)
 }
 
-/// The §3 optimization pipeline shared by the full and masked runs:
-/// shrink-back, then the symmetric core or closure, then pairwise removal.
-fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> CbtcRun {
+/// The whole construction: [`optimize`] applied to [`grow`] under the
+/// same metric and mask.
+///
+/// `guard` puts pairwise removal behind the union-find connectivity
+/// guard (see [`optimize`]): use it whenever the metric is not a
+/// unit-disk geometric one.
+///
+/// # Panics
+///
+/// Panics if the mask's length differs from the network size.
+pub fn construct<M: LinkMetric + ?Sized>(
+    network: &Network,
+    metric: &M,
+    config: &CbtcConfig,
+    alive: Option<&[bool]>,
+    guard: bool,
+) -> CbtcRun {
+    let basic = grow(network, metric, config.alpha(), alive);
+    optimize(network, metric, config, basic, guard)
+}
+
+/// The §3 optimization pipeline over a growing-phase outcome obtained
+/// anywhere (the engine's [`grow`], the oracle, or the distributed
+/// protocol's views): shrink-back, then the symmetric core or closure,
+/// then pairwise removal measured by `metric.cost` — each endpoint's
+/// cost to reach the other, the same scalar the growth phase ordered by.
+///
+/// With `guard`, every removed edge whose endpoints fell into different
+/// components of the pruned graph is put back and reported in
+/// [`CbtcRun::pairwise_restored`]. Theorem 3.6's proof that all
+/// redundant edges can go at once leans on the unit-disk structure of
+/// `G_α`; off the unit disk that scaffolding is gone, and the guard
+/// substitutes for it. On the unit disk it provably restores nothing.
+pub fn optimize<M: LinkMetric + ?Sized>(
+    network: &Network,
+    metric: &M,
+    config: &CbtcConfig,
+    basic: BasicOutcome,
+    guard: bool,
+) -> CbtcRun {
     let after_shrink = config.shrink_back().then(|| opt::shrink_back(&basic));
     let effective = after_shrink.as_ref().unwrap_or(&basic);
 
@@ -564,11 +601,12 @@ fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> Cbtc
     };
 
     let mut pairwise_removed = Vec::new();
+    let mut pairwise_restored = Vec::new();
     if config.pairwise_removal() {
-        let outcome =
-            opt::pairwise_removal(&graph, network.layout(), PairwisePolicy::PowerReducing);
-        pairwise_removed = outcome.removed;
+        let (outcome, restored) = pairwise_step(&graph, network.layout(), metric, guard);
         graph = outcome.graph;
+        pairwise_removed = outcome.removed;
+        pairwise_restored = restored;
     }
 
     CbtcRun {
@@ -577,7 +615,46 @@ fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> Cbtc
         after_shrink,
         graph,
         pairwise_removed,
+        pairwise_restored,
     }
+}
+
+/// The one pairwise-plus-guard step: §3.3 power-reducing removal over
+/// `pre_pairwise`, measured by `metric.cost`, then — with `guard` — the
+/// union-find restore of every removed edge that bridges two components
+/// of the pruned graph, in the removal list's deterministic order.
+/// Returns the pruned outcome (its `removed` list minus the restored
+/// edges) and the restored edges.
+pub(crate) fn pairwise_step<M: LinkMetric + ?Sized>(
+    pre_pairwise: &UndirectedGraph,
+    layout: &Layout,
+    metric: &M,
+    guard: bool,
+) -> (PairwiseOutcome, Vec<(NodeId, NodeId)>) {
+    let mut outcome = opt::pairwise_removal_with(
+        pre_pairwise,
+        layout,
+        PairwisePolicy::PowerReducing,
+        |a, b| metric.cost(a, b, layout.distance(a, b)),
+    );
+    let mut restored = Vec::new();
+    if guard {
+        let mut uf = UnionFind::new(outcome.graph.node_count());
+        for (u, v) in outcome.graph.edges() {
+            uf.union(u, v);
+        }
+        let mut removed = Vec::with_capacity(outcome.removed.len());
+        for (u, v) in outcome.removed {
+            if uf.union(u, v) {
+                outcome.graph.add_edge(u, v);
+                restored.push((u, v));
+            } else {
+                removed.push((u, v));
+            }
+        }
+        outcome.removed = removed;
+    }
+    (outcome, restored)
 }
 
 #[cfg(test)]

@@ -17,9 +17,11 @@
 //!
 //! * [`Network`] — a node layout plus radio model, the world experiments
 //!   run against;
-//! * [`run_basic`] / [`run_centralized`] — the exact *centralized
+//! * [`construct`] (= [`optimize`] ∘ [`grow`]) — the exact *centralized
 //!   reference*: continuous power growth through the sorted neighbor
-//!   distances, yielding the precise `rad⁻_{u,α}` radii the paper reports;
+//!   costs, yielding the precise `rad⁻_{u,α}` radii the paper reports,
+//!   over any [`reconfig::LinkMetric`]; [`run_basic`] /
+//!   [`run_centralized`] are its geometric conveniences;
 //! * [`opt`] — the three §3 optimizations: shrink-back, asymmetric edge
 //!   removal (`α ≤ 2π/3`), pairwise (redundant) edge removal;
 //! * [`CbtcConfig`] — which α and which optimizations to apply;
@@ -46,10 +48,11 @@
 //! | [`reconfig::DeltaTopology`] | §4 centralized mirror: a maintained `CBTC(α)` run under death/join/move streams, generic over a [`reconfig::LinkMetric`] (ideal or phy effective distance), affected sets from the reverse discovery relation, grid-free cached-prefix replay when no α-gap opens |
 //! | [`reconfig::routing`] | scaling infrastructure: which cached shortest-path trees a topology delta can invalidate (shared by the lifetime engine and the churn stretch probes) |
 //! | [`theory`] | Lemma 2.2 / Corollary 2.3 / redundancy, as executable predicates |
-//! | [`grow_node_in_grid`] / [`ConstructionMode`] | scaling infrastructure (no paper analogue): output-sensitive shell-scan growth, validated against the all-pairs oracle |
-//! | [`run_basic_masked`] / [`run_centralized_masked`] | §4 at scale: survivor re-runs over an alive mask, no sub-network allocation |
+//! | [`construct`] = [`optimize`] ∘ [`grow`] | the one construction engine, generic over a [`reconfig::LinkMetric`], an alive mask and the pairwise connectivity guard; every from-scratch construction in the workspace is a call into it |
+//! | [`run_basic_brute`] | the independent oracle (no paper analogue): all-pairs growth, pushed through the plain [`opt`] stages it is the reference the output-sensitive engine is validated against |
+//! | [`run_centralized_masked`] / `grow(.., Some(alive))` | §4 at scale: survivor re-runs over an alive mask, no sub-network allocation |
 //! | [`parallel`] | scaling infrastructure: scoped-thread fan-out of the per-node growing phase, with per-worker scratch state and an adaptive work-stealing chunker |
-//! | [`grow_node_metric_scratch`] / [`GrowScratch`] | §2's growing phase as an allocation-free kernel: one reusable heap/ring/gap-tracker/discovery buffer set serves every node a worker grows, bit-identical to the allocating path |
+//! | [`grow_node_metric_scratch`] / [`GrowScratch`] | §2's growing phase as an allocation-free kernel: output-sensitive shell-scan growth with one reusable heap/ring/gap-tracker/discovery buffer set per worker |
 //! | [`phy`] | beyond the paper: the same construction over a stochastic channel (per-link gains → effective distances), bit-identical to the ideal path when every gain is 1 |
 //! | [`phy::AckGatedChannel`] / [`phy::run_phy_gated_centralized`] | §2's measurement assumption made honest off the ideal channel: the link cost a *distributed* measured-power node can learn (forward effective distance, gated on the reply closing at max power) — the centralized reference the measured-pricing differential oracle tests against |
 //!
@@ -90,9 +93,8 @@ pub mod reconfig;
 pub mod theory;
 
 pub use centralized::{
-    construction_cell, dead_view, grow_node_in_grid, grow_node_metric_scratch, run_basic,
-    run_basic_masked, run_basic_with, run_centralized, run_centralized_masked, CbtcRun,
-    ConstructionMode, GrowScratch, PAR_MIN_CHUNK,
+    construct, construction_cell, dead_view, grow, grow_node_metric_scratch, optimize, run_basic,
+    run_basic_brute, run_centralized, run_centralized_masked, CbtcRun, GrowScratch, PAR_MIN_CHUNK,
 };
 pub use config::CbtcConfig;
 pub use error::CbtcError;

@@ -102,10 +102,15 @@ where
     }
 }
 
-/// [`node_redundancy`] under a directional length function: `length(u,
-/// v)` is `u`'s cost to reach `v` (the [`crate::reconfig::LinkMetric`]
-/// generalization). With `length = layout.distance` this is exactly
-/// [`node_redundancy`].
+/// The neighbors `v` of `u` such that `(u, v)` is redundant *from u's
+/// perspective* (some other neighbor `w` of `u` witnesses Definition
+/// 3.5), under a directional length function: `length(u, v)` is `u`'s
+/// cost to reach `v` (the [`crate::reconfig::LinkMetric`]
+/// generalization; `layout.distance` on the ideal radio).
+///
+/// A function of `u`'s adjacency and the geometry alone — the locality
+/// that lets incremental reconfiguration re-derive pairwise decisions for
+/// only the nodes whose neighborhoods changed.
 pub fn node_redundancy_with<L>(
     g: &UndirectedGraph,
     layout: &Layout,
@@ -131,33 +136,12 @@ where
     from
 }
 
-/// The neighbors `v` of `u` such that `(u, v)` is redundant *from u's
-/// perspective* (some other neighbor `w` of `u` witnesses Definition
-/// 3.5).
-///
-/// A function of `u`'s adjacency and the geometry alone — the locality
-/// that lets incremental reconfiguration re-derive pairwise decisions for
-/// only the nodes whose neighborhoods changed.
-pub fn node_redundancy(g: &UndirectedGraph, layout: &Layout, u: NodeId) -> BTreeSet<NodeId> {
-    node_redundancy_with(g, layout, u, &|a, b| layout.distance(a, b))
-}
-
 /// The [`PairwisePolicy::PowerReducing`] floor at `u`: the length of its
 /// longest incident edge that is *not* redundant from `u`'s perspective
-/// (`0` when every incident edge is redundant or `u` is isolated). Like
-/// [`node_redundancy`], a function of `u`'s adjacency alone.
-pub fn node_floor(
-    g: &UndirectedGraph,
-    layout: &Layout,
-    u: NodeId,
-    redundant_from_u: &BTreeSet<NodeId>,
-) -> f64 {
-    node_floor_with(g, u, redundant_from_u, &|a, b| layout.distance(a, b))
-}
-
-/// [`node_floor`] under a directional length function (`length(u, v)` is
-/// `u`'s cost to reach `v`). With `length = layout.distance` this is
-/// exactly [`node_floor`].
+/// (`0` when every incident edge is redundant or `u` is isolated), under
+/// a directional length function (`length(u, v)` is `u`'s cost to reach
+/// `v`). Like [`node_redundancy_with`], a function of `u`'s adjacency
+/// alone.
 pub fn node_floor_with<L>(
     g: &UndirectedGraph,
     u: NodeId,

@@ -41,16 +41,14 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use cbtc_geom::{gap::FlatGapTracker, Alpha, Point2};
-use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
+use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
 use cbtc_metrics::{Counter, Histogram, MetricsRegistry};
 use cbtc_trace::{TraceEvent, TraceHandle};
 
 use crate::centralized::{
-    construction_cell, dead_view, grow_node_metric_scratch, GrowScratch, PAR_MIN_CHUNK,
+    construction_grid, dead_view, grow_node_metric_scratch, grow_views, pairwise_step, GrowScratch,
 };
-use crate::opt::{
-    node_floor_with, node_redundancy_with, pairwise_removal_with, shrink_back_view, PairwisePolicy,
-};
+use crate::opt::{node_floor_with, node_redundancy_with, shrink_back_view};
 use crate::parallel::par_map_with;
 use crate::view::Discovery;
 use crate::view::NodeView;
@@ -189,6 +187,20 @@ impl PairwiseState {
         (self.redundant_from[u.index()].contains(&v) && length(u, v) > self.floor[u.index()])
             || (self.redundant_from[v.index()].contains(&u) && length(v, u) > self.floor[v.index()])
     }
+
+    /// The final graph this state judges `graph` down to: every edge the
+    /// policy does not [`drop`](PairwiseState::drops) — edge-for-edge
+    /// what [`crate::opt::pairwise_removal_with`] computes, from the
+    /// per-node sets already held here instead of a second pass.
+    fn prune<L>(&self, graph: &UndirectedGraph, length: &L) -> UndirectedGraph
+    where
+        L: Fn(NodeId, NodeId) -> f64,
+    {
+        UndirectedGraph::from_edges(
+            graph.node_count(),
+            graph.edges().filter(|&(u, v)| !self.drops(u, v, length)),
+        )
+    }
 }
 
 /// How the final graph is derived from the maintained pre-pairwise graph.
@@ -200,10 +212,10 @@ enum FinalStage {
     /// the unit disk, where Theorem 3.6 needs no guard).
     Pairwise(PairwiseState),
     /// §3.3 pairwise removal behind the union-find connectivity guard of
-    /// [`crate::phy::run_phy_centralized`]: the guard's restorations are
-    /// global, so the stage recomputes from the (incrementally
-    /// maintained) pre-pairwise graph and diffs — still far cheaper than
-    /// re-growing every node.
+    /// a guarded [`crate::construct`]: the guard's restorations are
+    /// global, so the stage reruns the engine's pairwise step on the
+    /// (incrementally maintained) pre-pairwise graph and diffs — still
+    /// far cheaper than re-growing every node.
     Guarded,
 }
 
@@ -213,11 +225,11 @@ enum FinalStage {
 /// generic over the [`LinkMetric`] the construction measures links with.
 ///
 /// The maintained [`DeltaTopology::graph`] is edge-for-edge identical to
-/// a from-scratch masked run over the current membership and geometry
-/// ([`crate::run_centralized_masked`] on the geometric metric,
-/// [`crate::phy::run_phy_centralized_masked`] on a phy channel with
-/// `guard = true`); the workspace property tests pin this down for every
-/// event kind on both metrics.
+/// a from-scratch masked [`crate::construct`] over the current membership
+/// and geometry with the same metric and `guard`
+/// ([`crate::run_centralized_masked`] on the geometric metric); the
+/// workspace property tests pin this down for every event kind on both
+/// metrics.
 ///
 /// # Example
 ///
@@ -388,32 +400,15 @@ impl<M: LinkMetric> DeltaTopology<M> {
         metric: M,
     ) -> Self {
         assert_eq!(active.len(), layout.len(), "active mask size mismatch");
-        let population = active.iter().filter(|a| **a).count();
-        let mut grid = SpatialGrid::new(construction_cell(&layout, max_range, population));
-        for (id, p) in layout.iter() {
-            if active[id.index()] {
-                grid.insert(id, p);
-            }
-        }
-        let ids: Vec<NodeId> = layout.node_ids().collect();
-        let basic: Vec<NodeView> = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, {
-            let (layout, grid, metric, active) = (&layout, &grid, &metric, &active);
-            move |scratch, &u| {
-                if active[u.index()] {
-                    grow_node_metric_scratch(
-                        layout,
-                        grid,
-                        metric,
-                        u,
-                        config.alpha(),
-                        max_range,
-                        scratch,
-                    )
-                } else {
-                    dead_view()
-                }
-            }
-        });
+        let grid = construction_grid(&layout, max_range, Some(&active));
+        let basic = grow_views(
+            &layout,
+            &grid,
+            &metric,
+            config.alpha(),
+            max_range,
+            Some(&active),
+        );
         let effective: Vec<NodeView> = if config.shrink_back() {
             basic
                 .iter()
@@ -438,20 +433,13 @@ impl<M: LinkMetric> DeltaTopology<M> {
         let (stage, graph) = if !config.pairwise_removal() {
             (FinalStage::Closure, pre_pairwise.clone())
         } else if guard {
-            (
-                FinalStage::Guarded,
-                guarded_pairwise(&pre_pairwise, &layout, &metric),
-            )
+            let (outcome, _) = pairwise_step(&pre_pairwise, &layout, &metric, true);
+            (FinalStage::Guarded, outcome.graph)
         } else {
             let length = |a: NodeId, b: NodeId| metric.cost(a, b, layout.distance(a, b));
             let state = PairwiseState::over(&pre_pairwise, &layout, &length);
-            let outcome = pairwise_removal_with(
-                &pre_pairwise,
-                &layout,
-                PairwisePolicy::PowerReducing,
-                length,
-            );
-            (FinalStage::Pairwise(state), outcome.graph)
+            let graph = state.prune(&pre_pairwise, &length);
+            (FinalStage::Pairwise(state), graph)
         };
 
         DeltaTopology {
@@ -1016,46 +1004,19 @@ impl<M: LinkMetric> DeltaTopology<M> {
                 // so re-derive the optimization tail from the maintained
                 // pre-pairwise graph and diff. The expensive part — the
                 // growth phase — stayed incremental.
-                let next = guarded_pairwise(pre_pairwise, layout, metric);
-                let delta = graph_delta(graph, &next);
-                *graph = next;
+                let (next, _) = pairwise_step(pre_pairwise, layout, metric, true);
+                let delta = graph_delta(graph, &next.graph);
+                *graph = next.graph;
                 delta
             }
         }
     }
 }
 
-/// §3.3 pairwise removal measured through the metric, behind the
-/// union-find connectivity guard — byte-for-byte the optimization tail of
-/// [`crate::phy::run_phy_centralized`].
-fn guarded_pairwise<M: LinkMetric>(
-    pre_pairwise: &UndirectedGraph,
-    layout: &Layout,
-    metric: &M,
-) -> UndirectedGraph {
-    let outcome = pairwise_removal_with(
-        pre_pairwise,
-        layout,
-        PairwisePolicy::PowerReducing,
-        |a, b| metric.cost(a, b, layout.distance(a, b)),
-    );
-    let mut graph = outcome.graph;
-    let mut uf = UnionFind::new(graph.node_count());
-    for (u, v) in graph.edges() {
-        uf.union(u, v);
-    }
-    for &(u, v) in &outcome.removed {
-        if uf.union(u, v) {
-            graph.add_edge(u, v);
-        }
-    }
-    graph
-}
-
 /// The smallest slice of affected nodes worth handing a re-grow worker.
 /// Re-grows are heavier than construction grows on average (a replay
 /// still walks the cached prefix) but batches are smaller, so the chunk
-/// floor sits well below [`PAR_MIN_CHUNK`]: a 64-node affected set can
+/// floor sits well below [`crate::PAR_MIN_CHUNK`]: a 64-node affected set can
 /// already fan out on two cores.
 const REGROW_MIN_CHUNK: usize = 32;
 

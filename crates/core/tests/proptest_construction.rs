@@ -1,18 +1,130 @@
-//! Property tests of the output-sensitive construction engines: the
-//! grid-backed growing phase must match the all-pairs oracle *exactly* —
-//! same discoveries, same boundary flags, same grow radii — on layouts
-//! engineered to stress every tie-breaking and cell-boundary path.
+//! Property tests of the construction engine: [`construct`] over every
+//! metric, mask and configuration must match the independent oracle
+//! *exactly* — the all-pairs [`run_basic_brute`] pushed through the plain
+//! public §3 stages — on layouts engineered to stress every tie-breaking
+//! and cell-boundary path.
 
+use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
+use cbtc_core::parallel::without_nested_fan_out;
+use cbtc_core::phy::PhyChannel;
+use cbtc_core::reconfig::{GeometricMetric, LinkMetric};
 use cbtc_core::{
-    grow_node_in_grid, run_basic_with, run_centralized, run_centralized_masked, CbtcConfig,
-    ConstructionMode, Network,
+    construct, dead_view, grow_node_metric_scratch, run_basic, run_basic_brute, run_centralized,
+    run_centralized_masked, CbtcConfig, GrowScratch, Network, NodeView,
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
+use cbtc_radio::IdealGain;
 use proptest::prelude::*;
 
 fn alphas() -> [Alpha; 2] {
     [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS]
+}
+
+fn configs() -> impl Iterator<Item = CbtcConfig> {
+    alphas()
+        .into_iter()
+        .flat_map(|alpha| [CbtcConfig::new(alpha), CbtcConfig::all_applicable(alpha)])
+}
+
+/// What a construction must reproduce: the growing-phase views, the
+/// final graph and the pairwise removals.
+#[derive(Debug)]
+struct Expected {
+    views: Vec<NodeView>,
+    graph: UndirectedGraph,
+    removed: Vec<(NodeId, NodeId)>,
+}
+
+/// The oracle: brute-force growth through the plain public §3 stages.
+fn oracle(network: &Network, config: &CbtcConfig) -> Expected {
+    let basic = run_basic_brute(network, config.alpha());
+    let effective = if config.shrink_back() {
+        shrink_back(&basic)
+    } else {
+        basic.clone()
+    };
+    let graph = if config.asymmetric_removal() {
+        effective.symmetric_core()
+    } else {
+        effective.symmetric_closure()
+    };
+    let (graph, removed) = if config.pairwise_removal() {
+        let out = pairwise_removal(&graph, network.layout(), PairwisePolicy::PowerReducing);
+        (out.graph, out.removed)
+    } else {
+        (graph, Vec::new())
+    };
+    Expected {
+        views: basic.into_views(),
+        graph,
+        removed,
+    }
+}
+
+/// The extract-and-remap oracle for masked rows: the survivors as a
+/// fresh sub-network, the oracle there, IDs mapped back (the map is
+/// increasing, so every sorted order survives it); dead nodes get the
+/// placeholder view.
+fn masked_oracle(network: &Network, config: &CbtcConfig, alive: &[bool]) -> Expected {
+    let n = network.len();
+    let survivors: Vec<NodeId> = network
+        .layout()
+        .node_ids()
+        .filter(|u| alive[u.index()])
+        .collect();
+    let points: Vec<Point2> = survivors
+        .iter()
+        .map(|u| network.layout().position(*u))
+        .collect();
+    let sub = oracle(&Network::new(Layout::new(points), *network.model()), config);
+    let map = |id: NodeId| survivors[id.index()];
+    let mut views = vec![dead_view(); n];
+    for (i, mut view) in sub.views.into_iter().enumerate() {
+        for d in &mut view.discoveries {
+            d.id = map(d.id);
+        }
+        views[survivors[i].index()] = view;
+    }
+    let mut graph = UndirectedGraph::new(n);
+    for (a, b) in sub.graph.edges() {
+        graph.add_edge(map(a), map(b));
+    }
+    Expected {
+        views,
+        graph,
+        removed: sub.removed.iter().map(|&(a, b)| (map(a), map(b))).collect(),
+    }
+}
+
+/// One row of the engine table: `construct` with this metric, mask and
+/// guard equals the oracle, no edge is restored, and a single-threaded
+/// run equals the (possibly parallel) default.
+fn check_row<M: LinkMetric>(
+    network: &Network,
+    metric: &M,
+    config: &CbtcConfig,
+    alive: Option<&[bool]>,
+    guard: bool,
+    expected: &Expected,
+) -> Result<(), TestCaseError> {
+    let run = construct(network, metric, config, alive, guard);
+    let row = format!(
+        "config {config:?}, masked {}, guard {guard}",
+        alive.is_some()
+    );
+    prop_assert_eq!(run.basic().views(), &expected.views[..], "views: {}", row);
+    prop_assert_eq!(run.final_graph(), &expected.graph, "graph: {}", row);
+    prop_assert_eq!(
+        run.pairwise_removed(),
+        &expected.removed[..],
+        "removed: {}",
+        row
+    );
+    prop_assert!(run.pairwise_restored().is_empty(), "restored: {}", row);
+    let single = without_nested_fan_out(|| construct(network, metric, config, alive, guard));
+    prop_assert_eq!(&single, &run, "single-threaded: {}", row);
+    Ok(())
 }
 
 /// Random layouts with no two nodes exactly coincident (directions are
@@ -57,16 +169,30 @@ fn lattice_layouts(pitch: f64) -> impl Strategy<Value = Layout> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three construction engines agree on random layouts.
+    /// The engine table: metric {geometric, ideal channel} × mask {none,
+    /// random} × guard {off, on} × configuration, every row
+    /// against the oracle and single-threaded ≡ parallel. On an ideal
+    /// channel every cost is the geometric distance bit for bit, so one
+    /// oracle serves both metrics, and the guard never fires.
     #[test]
-    fn engines_agree_on_random_layouts(layout in layouts()) {
+    fn engines_agree_on_random_layouts(layout in layouts(), mask_seed in 0u64..u64::MAX) {
         let network = Network::with_paper_radio(layout);
-        for alpha in alphas() {
-            let brute = run_basic_with(&network, alpha, ConstructionMode::Brute);
-            let grid = run_basic_with(&network, alpha, ConstructionMode::Grid);
-            let par = run_basic_with(&network, alpha, ConstructionMode::GridParallel);
-            prop_assert_eq!(&brute, &grid, "grid != brute");
-            prop_assert_eq!(&grid, &par, "parallel != grid");
+        let channel = PhyChannel::new(network.model(), &IdealGain);
+        // A deterministic pseudo-random alive mask from the seed.
+        let random_mask: Vec<bool> = (0..network.len())
+            .map(|i| (mask_seed >> (i % 64)) & 1 == 0 || i % 5 == 0)
+            .collect();
+        for alive in [None, Some(random_mask.as_slice())] {
+            for config in configs() {
+                let expected = match alive {
+                    None => oracle(&network, &config),
+                    Some(alive) => masked_oracle(&network, &config, alive),
+                };
+                for guard in [false, true] {
+                    check_row(&network, &GeometricMetric, &config, alive, guard, &expected)?;
+                    check_row(&network, &channel, &config, alive, guard, &expected)?;
+                }
+            }
         }
     }
 
@@ -77,66 +203,25 @@ proptest! {
     fn engines_agree_on_lattice_layouts(layout in lattice_layouts(125.0)) {
         let network = Network::with_paper_radio(layout.clone());
         let r = network.max_range();
+        let mut scratch = GrowScratch::new();
         for alpha in alphas() {
-            let brute = run_basic_with(&network, alpha, ConstructionMode::Brute);
-            let default = run_basic_with(&network, alpha, ConstructionMode::Grid);
+            let brute = run_basic_brute(&network, alpha);
+            let default = without_nested_fan_out(|| run_basic(&network, alpha));
             prop_assert_eq!(&brute, &default, "default cell");
             // Cell exactly the lattice pitch (every node on a cell
             // corner), much smaller, and larger than the max range.
             for cell in [125.0, 30.0, 800.0] {
                 let grid = SpatialGrid::from_layout(&layout, cell);
                 for u in layout.node_ids() {
-                    let view = grow_node_in_grid(&layout, &grid, u, alpha, r);
+                    let view = grow_node_metric_scratch(
+                        &layout, &grid, &GeometricMetric, u, alpha, r, &mut scratch,
+                    );
                     prop_assert_eq!(
                         &view,
                         brute.view(u),
                         "node {} at cell {}", u, cell
                     );
                 }
-            }
-        }
-    }
-
-    /// The masked run equals the historical extract-and-remap oracle: a
-    /// fresh sub-network of the survivors, a full run, IDs mapped back.
-    #[test]
-    fn masked_run_equals_subnetwork_oracle(
-        layout in layouts(),
-        mask_seed in 0u64..u64::MAX,
-    ) {
-        let network = Network::with_paper_radio(layout);
-        let n = network.len();
-        // A deterministic pseudo-random alive mask from the seed.
-        let alive: Vec<bool> = (0..n)
-            .map(|i| (mask_seed >> (i % 64)) & 1 == 0 || i % 5 == 0)
-            .collect();
-        for alpha in alphas() {
-            for config in [CbtcConfig::new(alpha), CbtcConfig::all_applicable(alpha)] {
-                let masked = run_centralized_masked(&network, &config, &alive);
-
-                let survivors: Vec<NodeId> = network
-                    .layout()
-                    .node_ids()
-                    .filter(|u| alive[u.index()])
-                    .collect();
-                let mut oracle = UndirectedGraph::new(n);
-                if survivors.len() >= 2 {
-                    let points: Vec<Point2> = survivors
-                        .iter()
-                        .map(|u| network.layout().position(*u))
-                        .collect();
-                    let sub = Network::new(Layout::new(points), *network.model());
-                    let sub_run = run_centralized(&sub, &config);
-                    for (a, b) in sub_run.final_graph().edges() {
-                        oracle.add_edge(survivors[a.index()], survivors[b.index()]);
-                    }
-                }
-                prop_assert_eq!(
-                    masked.final_graph(),
-                    &oracle,
-                    "config {:?}",
-                    config
-                );
             }
         }
     }

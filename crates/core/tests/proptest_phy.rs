@@ -1,32 +1,27 @@
 //! Property tests of the stochastic-channel (phy) construction pipeline.
+//! (Ideal-channel equivalence with the geometric reference is a row of
+//! the engine table in `proptest_construction`.)
 //!
-//! Three guarantees are pinned down:
+//! Two guarantees are pinned down:
 //!
-//! 1. **Ideal equivalence** — with every link gain exactly 1 and exact
-//!    sensing, the phy pipeline is bit-identical to the geometric
-//!    reference (`run_centralized`), full and masked, at every
-//!    optimization level.
-//! 2. **Pairwise-removal safety off the unit disk** — on lossy
+//! 1. **Pairwise-removal safety off the unit disk** — on lossy
 //!    (shadowed, per-direction asymmetric) topologies, the guarded
 //!    pairwise removal never changes the partition of the symmetric
 //!    subgraph it prunes (the §3.3 step can no longer rely on Theorem
 //!    3.6's unit-disk scaffolding; the connectivity guard substitutes
 //!    for it).
-//! 3. **Asymmetric-edge removal semantics under asymmetric gains** —
+//! 2. **Asymmetric-edge removal semantics under asymmetric gains** —
 //!    the final graph after §3.2 removal is a subgraph of the symmetric
 //!    reach graph (it never keeps a one-directional link), and on an
 //!    ideal channel it preserves the reach graph's connectivity exactly
 //!    as Theorem 3.2 promises.
 
-use cbtc_core::phy::{
-    phy_reach_graph, run_phy_basic, run_phy_centralized, run_phy_centralized_masked, PhyChannel,
-};
-use cbtc_core::{run_basic, run_centralized, run_centralized_masked, CbtcConfig, Network};
+use cbtc_core::phy::{phy_reach_graph, PhyChannel};
+use cbtc_core::{construct, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::Layout;
 use cbtc_phy::{Shadowing, ShadowingMode};
-use cbtc_radio::IdealGain;
 use proptest::prelude::*;
 
 /// Random networks with no two nodes coincident.
@@ -46,50 +41,8 @@ fn networks() -> impl Strategy<Value = Network> {
     })
 }
 
-fn configs() -> [CbtcConfig; 3] {
-    [
-        CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
-        CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS),
-        CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Ideal channel ⇒ the phy pipeline replays the geometric one bit
-    /// for bit (growth views, final graphs, pairwise removals; the
-    /// connectivity guard never fires).
-    #[test]
-    fn ideal_phy_pipeline_is_bit_identical(network in networks()) {
-        let channel = PhyChannel::new(network.model(), &IdealGain);
-        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
-            prop_assert_eq!(
-                run_phy_basic(&network, &channel, alpha).views(),
-                run_basic(&network, alpha).views()
-            );
-        }
-        for config in configs() {
-            let phy = run_phy_centralized(&network, &channel, &config);
-            let ideal = run_centralized(&network, &config);
-            prop_assert_eq!(phy.final_graph(), ideal.final_graph());
-            prop_assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
-            prop_assert!(phy.pairwise_restored().is_empty());
-        }
-    }
-
-    /// Ideal channel, masked: the survivor re-run matches too.
-    #[test]
-    fn ideal_phy_masked_is_bit_identical(network in networks(), mask_seed in 0u64..1000) {
-        let channel = PhyChannel::new(network.model(), &IdealGain);
-        let alive: Vec<bool> = (0..network.len())
-            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(mask_seed) % 4 != 0)
-            .collect();
-        let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let phy = run_phy_centralized_masked(&network, &channel, &config, &alive);
-        let ideal = run_centralized_masked(&network, &config, &alive);
-        prop_assert_eq!(phy.final_graph(), ideal.final_graph());
-    }
 
     /// On lossy topologies (independent per-direction shadowing), the
     /// guarded pairwise removal never disconnects the symmetric subgraph
@@ -104,7 +57,7 @@ proptest! {
         let shadowing = Shadowing::new(sigma, ShadowingMode::Independent, seed);
         let channel = PhyChannel::new(network.model(), &shadowing);
         let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let run = run_phy_centralized(&network, &channel, &config);
+        let run = construct(&network, &channel, &config, None, true);
         // Reconstruct the graph the pairwise stage was given: the
         // symmetric core of the post-shrink outcome.
         let pre_pairwise = run.effective().symmetric_core();
@@ -131,7 +84,7 @@ proptest! {
         let shadowing = Shadowing::new(sigma, ShadowingMode::Independent, seed);
         let channel = PhyChannel::new(network.model(), &shadowing);
         let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let run = run_phy_centralized(&network, &channel, &config);
+        let run = construct(&network, &channel, &config, None, true);
         let reach = phy_reach_graph(&network, &channel);
         prop_assert!(
             run.final_graph().is_subgraph_of(&reach),

@@ -4,11 +4,11 @@
 //! the current membership and geometry — on the **geometric** metric
 //! (against `run_centralized_masked`) and on a **shadowed
 //! effective-distance** metric with genuinely asymmetric links (against
-//! the guarded `run_phy_centralized_masked`).
+//! a guarded masked `construct` on the channel).
 
-use cbtc_core::phy::{run_phy_centralized_masked, PhyChannel};
+use cbtc_core::phy::{optimize_phy, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, LinkMetric, NodeEvent};
-use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
+use cbtc_core::{construct, grow, run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId, UndirectedGraph};
 use cbtc_phy::{Shadowing, ShadowingMode};
@@ -52,12 +52,7 @@ struct GatedMetric {
 
 impl LinkMetric for GatedMetric {
     fn cost(&self, u: NodeId, v: NodeId, d: f64) -> f64 {
-        let channel = self.inner.channel();
-        if channel.effective_distance(v, u, d) <= self.max_range {
-            channel.effective_distance(u, v, d)
-        } else {
-            f64::INFINITY
-        }
+        AckGatedChannel::new(&self.inner.channel(), self.max_range).cost(u, v, d)
     }
 
     fn reach_boost(&self) -> f64 {
@@ -231,7 +226,7 @@ proptest! {
                 topo.apply(batch);
                 let network = Network::new(topo.layout().clone(), model);
                 let channel = PhyChannel::new(network.model(), &metric.shadowing);
-                let full = run_phy_centralized_masked(&network, &channel, &config, topo.active())
+                let full = construct(&network, &channel, &config, Some(topo.active()), true)
                     .into_final_graph();
                 prop_assert_eq!(
                     topo.graph(), &full,
@@ -289,10 +284,9 @@ proptest! {
             );
             let network = Network::new(topo.layout().clone(), model);
             let channel = PhyChannel::new(network.model(), &metric.inner.shadowing);
-            let full = cbtc_core::phy::run_phy_gated_centralized_masked(
-                &network, &channel, &config, topo.active(),
-            )
-            .into_final_graph();
+            let gated = AckGatedChannel::new(&channel, 500.0);
+            let basic = grow(&network, &gated, config.alpha(), Some(topo.active()));
+            let full = optimize_phy(&network, &channel, &config, basic).into_final_graph();
             prop_assert_eq!(
                 topo.graph(), &full,
                 "gated metric, σ {} diverged after {:?}", sigma, batch

@@ -36,7 +36,11 @@ pub trait SurvivorTracker: std::fmt::Debug + Send {
 
     /// Kills `dead` and reconfigures incrementally, returning the final
     /// graph's exact edge delta.
-    fn kill(&mut self, network: &Network, dead: &[NodeId]) -> TopologyDelta;
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node in `dead` is already dead.
+    fn kill(&mut self, dead: &[NodeId]) -> TopologyDelta;
 
     /// Installs observability hooks on the underlying incremental engine,
     /// so every [`SurvivorTracker::kill`] records a per-batch

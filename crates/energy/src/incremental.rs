@@ -1,16 +1,18 @@
 //! Incremental survivor reconfiguration: the §4 re-run as a patch, not a
 //! rebuild.
 //!
-//! The affected-set machinery that used to live here was promoted to the
-//! metric-generic [`cbtc_core::reconfig::DeltaTopology`] engine, which
-//! also handles joins, moves and stochastic channels. What remains is
-//! the lifetime engine's *death-only adapter*: [`SurvivorTopology`]
+//! The affected-set machinery lives in the metric-generic
+//! [`cbtc_core::reconfig::DeltaTopology`] engine, which also handles
+//! joins, moves and stochastic channels. What remains here is the
+//! lifetime engine's *death-only adapter*: [`MetricSurvivorTopology`]
 //! narrows the engine to the death streams a battery simulation
 //! produces, keeps the view-free max-power fast path (stripping the dead
 //! nodes' edges is the whole update), and stays **edge-for-edge
-//! identical** to [`TopologyPolicy::build_on_survivors`] — the property
-//! tests replay both paths against each other, and a whole lifetime run
-//! is bitwise equal either way.
+//! identical** to the builder's from-scratch survivor rebuild — the
+//! property tests replay both paths against each other, and a whole
+//! lifetime run is bitwise equal either way. [`SurvivorTopology`] is the
+//! adapter on the ideal radio; the phy subsystem instantiates it on the
+//! effective-distance metric.
 
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, LinkMetric, NodeEvent};
 use cbtc_core::Network;
@@ -21,20 +23,69 @@ use crate::TopologyPolicy;
 
 pub use cbtc_core::reconfig::TopologyDelta;
 
-/// The one death-only adapter behind every [`SurvivorTracker`]: either a
+/// The current CBTC (or max-power) topology over the survivors of a
+/// fixed network, maintained incrementally under node deaths: either a
 /// [`DeltaTopology`] engine over some metric (CBTC policies), or a bare
 /// graph whose survivor topology is the induced subgraph (view-free
 /// max-power style policies, where a death strips exactly the dead
-/// node's edges). [`SurvivorTopology`] instantiates it on the geometric
-/// metric; the phy subsystem on the effective-distance metric.
+/// node's edges).
 #[derive(Debug, Clone)]
-pub(crate) struct MetricSurvivorTopology<M: LinkMetric> {
+pub struct MetricSurvivorTopology<M: LinkMetric> {
     alive: Vec<bool>,
     /// The CBTC engine; `None` for the view-free policies.
     cbtc: Option<DeltaTopology<M>>,
     /// The full topology for the view-free fast path (unused when the
     /// engine owns the topology).
     graph: UndirectedGraph,
+}
+
+/// [`MetricSurvivorTopology`] on the ideal radio: the incremental
+/// counterpart of [`TopologyPolicy::build_on_survivors`].
+///
+/// # Example
+///
+/// ```
+/// use cbtc_core::{CbtcConfig, Network};
+/// use cbtc_energy::{SurvivorTopology, SurvivorTracker, TopologyPolicy};
+/// use cbtc_geom::{Alpha, Point2};
+/// use cbtc_graph::{Layout, NodeId};
+///
+/// let network = Network::with_paper_radio(Layout::new(vec![
+///     Point2::new(0.0, 0.0),
+///     Point2::new(300.0, 0.0),
+///     Point2::new(600.0, 0.0),
+/// ]));
+/// let policy = TopologyPolicy::Cbtc(CbtcConfig::new(Alpha::FIVE_PI_SIXTHS));
+/// let mut topo = SurvivorTopology::new(&network, policy);
+/// assert_eq!(topo.graph().edge_count(), 2);
+///
+/// let delta = topo.kill(&[NodeId::new(1)]);
+/// // The middle node's edges are gone; the ends are out of range.
+/// assert_eq!(topo.graph().edge_count(), 0);
+/// assert_eq!(delta.removed.len(), 2);
+/// // Identical to a from-scratch survivor rebuild.
+/// let full = policy.build_on_survivors(&network, &[true, false, true]);
+/// assert_eq!(topo.graph(), &full);
+/// ```
+pub type SurvivorTopology = MetricSurvivorTopology<GeometricMetric>;
+
+impl SurvivorTopology {
+    /// Builds the initial (everyone-alive) topology for `policy`.
+    pub fn new(network: &Network, policy: TopologyPolicy) -> Self {
+        match policy {
+            // Max power never re-grows: survivors keep broadcasting at
+            // `P`, so the survivor topology is the induced subgraph.
+            TopologyPolicy::MaxPower => Self::induced(network.max_power_graph()),
+            TopologyPolicy::Cbtc(config) => Self::engine(DeltaTopology::new(
+                network.layout().clone(),
+                vec![true; network.len()],
+                network.max_range(),
+                config,
+                false,
+                GeometricMetric,
+            )),
+        }
+    }
 }
 
 impl<M: LinkMetric> MetricSurvivorTopology<M> {
@@ -56,43 +107,26 @@ impl<M: LinkMetric> MetricSurvivorTopology<M> {
         }
     }
 
-    pub(crate) fn graph(&self) -> &UndirectedGraph {
+    /// The alive mask this topology currently reflects.
+    pub fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+}
+
+/// The tracker seam the lifetime engine drives. The observability setters
+/// reach the CBTC engine; they are no-ops for the view-free fast path,
+/// whose kills are trivial edge strips.
+impl<M: LinkMetric + std::fmt::Debug + Clone + Send + 'static> SurvivorTracker
+    for MetricSurvivorTopology<M>
+{
+    fn graph(&self) -> &UndirectedGraph {
         self.cbtc.as_ref().map_or(&self.graph, DeltaTopology::graph)
     }
 
-    pub(crate) fn alive(&self) -> &[bool] {
-        &self.alive
-    }
-
-    /// Installs observability hooks on the CBTC engine; a no-op for the
-    /// view-free fast path (whose kills are trivial edge strips).
-    pub(crate) fn set_trace(&mut self, trace: cbtc_trace::TraceHandle) {
-        if let Some(engine) = &mut self.cbtc {
-            engine.set_trace(trace);
-        }
-    }
-
-    /// Advances the engine's trace clock.
-    pub(crate) fn set_trace_clock(&mut self, time: f64) {
-        if let Some(engine) = &mut self.cbtc {
-            engine.set_trace_clock(time);
-        }
-    }
-
-    /// Installs a metrics registry on the CBTC engine; a no-op for the
-    /// view-free fast path (whose kills are trivial edge strips).
-    pub(crate) fn set_metrics(&mut self, registry: &cbtc_metrics::MetricsRegistry) {
-        if let Some(engine) = &mut self.cbtc {
-            engine.set_metrics(registry);
-        }
-    }
-
-    /// Kills `dead` and reconfigures incrementally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node in `dead` is already dead.
-    pub(crate) fn kill(&mut self, dead: &[NodeId]) -> TopologyDelta {
+    /// Only survivors whose discovery prefix contained a dead node re-run
+    /// their growth; every edge between unaffected survivors is provably
+    /// unchanged and is not touched.
+    fn kill(&mut self, dead: &[NodeId]) -> TopologyDelta {
         match &mut self.cbtc {
             Some(engine) => {
                 let events: Vec<NodeEvent> = dead.iter().map(|&d| NodeEvent::Death(d)).collect();
@@ -119,136 +153,23 @@ impl<M: LinkMetric> MetricSurvivorTopology<M> {
             }
         }
     }
-}
-
-impl<M: LinkMetric + std::fmt::Debug + Clone + Send + 'static> SurvivorTracker
-    for MetricSurvivorTopology<M>
-{
-    fn graph(&self) -> &UndirectedGraph {
-        MetricSurvivorTopology::graph(self)
-    }
-
-    fn kill(&mut self, _network: &Network, dead: &[NodeId]) -> TopologyDelta {
-        MetricSurvivorTopology::kill(self, dead)
-    }
 
     fn set_trace(&mut self, trace: cbtc_trace::TraceHandle) {
-        MetricSurvivorTopology::set_trace(self, trace);
+        if let Some(engine) = &mut self.cbtc {
+            engine.set_trace(trace);
+        }
     }
 
     fn set_trace_clock(&mut self, time: f64) {
-        MetricSurvivorTopology::set_trace_clock(self, time);
+        if let Some(engine) = &mut self.cbtc {
+            engine.set_trace_clock(time);
+        }
     }
 
     fn set_metrics(&mut self, registry: &cbtc_metrics::MetricsRegistry) {
-        MetricSurvivorTopology::set_metrics(self, registry);
-    }
-
-    fn clone_box(&self) -> Box<dyn SurvivorTracker> {
-        Box::new(self.clone())
-    }
-}
-
-/// The current CBTC (or max-power) topology over the survivors of a
-/// fixed network, maintained incrementally under node deaths — a
-/// death-only adapter over [`DeltaTopology`].
-///
-/// # Example
-///
-/// ```
-/// use cbtc_core::{CbtcConfig, Network};
-/// use cbtc_energy::{SurvivorTopology, TopologyPolicy};
-/// use cbtc_geom::{Alpha, Point2};
-/// use cbtc_graph::{Layout, NodeId};
-///
-/// let network = Network::with_paper_radio(Layout::new(vec![
-///     Point2::new(0.0, 0.0),
-///     Point2::new(300.0, 0.0),
-///     Point2::new(600.0, 0.0),
-/// ]));
-/// let policy = TopologyPolicy::Cbtc(CbtcConfig::new(Alpha::FIVE_PI_SIXTHS));
-/// let mut topo = SurvivorTopology::new(&network, policy);
-/// assert_eq!(topo.graph().edge_count(), 2);
-///
-/// let delta = topo.kill(&network, &[NodeId::new(1)]);
-/// // The middle node's edges are gone; the ends are out of range.
-/// assert_eq!(topo.graph().edge_count(), 0);
-/// assert_eq!(delta.removed.len(), 2);
-/// // Identical to a from-scratch survivor rebuild.
-/// let full = policy.build_on_survivors(&network, &[true, false, true]);
-/// assert_eq!(topo.graph(), &full);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SurvivorTopology {
-    inner: MetricSurvivorTopology<GeometricMetric>,
-}
-
-impl SurvivorTopology {
-    /// Builds the initial (everyone-alive) topology for `policy`.
-    pub fn new(network: &Network, policy: TopologyPolicy) -> Self {
-        let inner = match policy {
-            // Max power never re-grows: survivors keep broadcasting at
-            // `P`, so the survivor topology is the induced subgraph.
-            TopologyPolicy::MaxPower => MetricSurvivorTopology::induced(network.max_power_graph()),
-            TopologyPolicy::Cbtc(config) => MetricSurvivorTopology::engine(DeltaTopology::new(
-                network.layout().clone(),
-                vec![true; network.len()],
-                network.max_range(),
-                config,
-                false,
-                GeometricMetric,
-            )),
-        };
-        SurvivorTopology { inner }
-    }
-
-    /// The current topology: edges only between survivors, dead nodes
-    /// isolated, on the original node set.
-    pub fn graph(&self) -> &UndirectedGraph {
-        self.inner.graph()
-    }
-
-    /// The alive mask this topology currently reflects.
-    pub fn alive(&self) -> &[bool] {
-        self.inner.alive()
-    }
-
-    /// Kills `dead` and reconfigures the survivors incrementally,
-    /// returning the final graph's edge delta.
-    ///
-    /// Only survivors whose discovery prefix contained a dead node
-    /// re-run their growth; everyone else's view — and therefore every
-    /// edge between unaffected survivors — is provably unchanged and is
-    /// not touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node in `dead` is already dead (the engine's views
-    /// would desynchronize from the mask).
-    pub fn kill(&mut self, _network: &Network, dead: &[NodeId]) -> TopologyDelta {
-        self.inner.kill(dead)
-    }
-}
-
-impl SurvivorTracker for SurvivorTopology {
-    fn graph(&self) -> &UndirectedGraph {
-        SurvivorTopology::graph(self)
-    }
-
-    fn kill(&mut self, network: &Network, dead: &[NodeId]) -> TopologyDelta {
-        SurvivorTopology::kill(self, network, dead)
-    }
-
-    fn set_trace(&mut self, trace: cbtc_trace::TraceHandle) {
-        self.inner.set_trace(trace);
-    }
-
-    fn set_trace_clock(&mut self, time: f64) {
-        self.inner.set_trace_clock(time);
-    }
-
-    fn set_metrics(&mut self, registry: &cbtc_metrics::MetricsRegistry) {
-        self.inner.set_metrics(registry);
+        if let Some(engine) = &mut self.cbtc {
+            engine.set_metrics(registry);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn SurvivorTracker> {
@@ -314,7 +235,7 @@ mod tests {
             let mut alive = vec![true; network.len()];
             for &d in &death_order {
                 alive[d as usize] = false;
-                let delta = topo.kill(&network, &[n(d)]);
+                let delta = topo.kill(&[n(d)]);
                 let full = policy.build_on_survivors(&network, &alive);
                 assert_eq!(
                     topo.graph(),
@@ -339,7 +260,7 @@ mod tests {
         for policy in policies() {
             let mut topo = SurvivorTopology::new(&network, policy);
             let dead = [n(1), n(2), n(7)];
-            topo.kill(&network, &dead);
+            topo.kill(&dead);
             let mut alive = vec![true; network.len()];
             for d in dead {
                 alive[d.index()] = false;
@@ -359,8 +280,8 @@ mod tests {
     fn double_kill_panics() {
         let network = cluster();
         let mut topo = SurvivorTopology::new(&network, TopologyPolicy::MaxPower);
-        topo.kill(&network, &[n(0)]);
-        topo.kill(&network, &[n(0)]);
+        topo.kill(&[n(0)]);
+        topo.kill(&[n(0)]);
     }
 
     #[test]
@@ -384,7 +305,7 @@ mod tests {
             .edges()
             .filter(|(u, _)| u.index() >= 4)
             .collect();
-        let delta = topo.kill(&network, &[n(0)]);
+        let delta = topo.kill(&[n(0)]);
         let after: Vec<_> = topo
             .graph()
             .edges()

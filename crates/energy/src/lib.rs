@@ -92,7 +92,7 @@ mod runner;
 mod traffic;
 
 pub use builder::{IdealLinks, LinkReliability, SurvivorTracker, TopologyBuilder};
-pub use incremental::{SurvivorTopology, TopologyDelta};
+pub use incremental::{MetricSurvivorTopology, SurvivorTopology, TopologyDelta};
 pub use lifetime::{LifetimeConfig, LifetimeReport, LifetimeSim};
 pub use mobile::{MobileLifetimeConfig, MobileLifetimeReport, MobileLifetimeSim};
 pub use model::{Battery, EnergyLedger, EnergyModel};

@@ -705,7 +705,7 @@ impl LifetimeSim {
             let delta = if self.reconfig.is_some() {
                 let tracker = self.reconfig.as_mut().expect("checked");
                 tracker.set_trace_clock(time);
-                let delta = tracker.kill(&self.network, &newly_dead);
+                let delta = tracker.kill(&newly_dead);
                 self.apply_topology_delta(&newly_dead, &delta);
                 delta
             } else {

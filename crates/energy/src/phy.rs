@@ -21,12 +21,9 @@
 
 use std::sync::Arc;
 
-use cbtc_core::phy::{
-    phy_reach_graph, phy_reach_graph_where, run_phy_centralized, run_phy_centralized_masked,
-    run_phy_gated_centralized, run_phy_gated_centralized_masked, PhyChannel,
-};
+use cbtc_core::phy::{phy_reach_graph, phy_reach_graph_where, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, LinkMetric};
-use cbtc_core::Network;
+use cbtc_core::{construct, grow, optimize, CbtcConfig, Network};
 use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_phy::{PhyProfile, PrrCurve, Shadowing};
 use cbtc_radio::{DirectionSensor, LinkGain, PathLoss, Power, PowerBasis, PowerLaw, Prr};
@@ -79,19 +76,38 @@ impl PhyPolicy {
     }
 }
 
+impl PhyPolicy {
+    /// The guarded CBTC construction over the profile's channel, on the
+    /// whole network or an alive mask. Under measured pricing the growth
+    /// is feedback-gated and pairwise removal is priced on the plain
+    /// channel, as in [`cbtc_core::phy::run_phy_gated_centralized`].
+    fn cbtc(
+        &self,
+        network: &Network,
+        channel: &PhyChannel<'_>,
+        config: &CbtcConfig,
+        alive: Option<&[bool]>,
+    ) -> UndirectedGraph {
+        let run = match self.basis {
+            PowerBasis::Geometric => construct(network, channel, config, alive, true),
+            PowerBasis::Measured => {
+                let gated = AckGatedChannel::new(channel, network.max_range());
+                let basic = grow(network, &gated, config.alpha(), alive);
+                optimize(network, channel, config, basic, true)
+            }
+        };
+        run.into_final_graph()
+    }
+}
+
 impl TopologyBuilder for PhyPolicy {
     fn build(&self, network: &Network) -> UndirectedGraph {
         let shadowing = self.profile.shadowing();
         let channel =
             PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
-        match (self.policy, self.basis) {
-            (TopologyPolicy::MaxPower, _) => phy_reach_graph(network, &channel),
-            (TopologyPolicy::Cbtc(config), PowerBasis::Geometric) => {
-                run_phy_centralized(network, &channel, &config).into_final_graph()
-            }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Measured) => {
-                run_phy_gated_centralized(network, &channel, &config).into_final_graph()
-            }
+        match self.policy {
+            TopologyPolicy::MaxPower => phy_reach_graph(network, &channel),
+            TopologyPolicy::Cbtc(config) => self.cbtc(network, &channel, &config, None),
         }
     }
 
@@ -100,17 +116,11 @@ impl TopologyBuilder for PhyPolicy {
         let shadowing = self.profile.shadowing();
         let channel =
             PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
-        match (self.policy, self.basis) {
-            (TopologyPolicy::MaxPower, _) => {
+        match self.policy {
+            TopologyPolicy::MaxPower => {
                 phy_reach_graph_where(network, &channel, |u| alive[u.index()])
             }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Geometric) => {
-                run_phy_centralized_masked(network, &channel, &config, alive).into_final_graph()
-            }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Measured) => {
-                run_phy_gated_centralized_masked(network, &channel, &config, alive)
-                    .into_final_graph()
-            }
+            TopologyPolicy::Cbtc(config) => self.cbtc(network, &channel, &config, Some(alive)),
         }
     }
 
@@ -134,17 +144,17 @@ impl TopologyBuilder for PhyPolicy {
 /// effective distance `d·g^(−1/n)` with the profile's angle-of-arrival
 /// sensor. Every call constructs the borrowing [`PhyChannel`] on the
 /// spot, so the arithmetic is *the same code* the from-scratch
-/// [`run_phy_centralized_masked`] runs — bit-identity by construction.
+/// [`PhyPolicy::build_on_survivors`] runs — bit-identity by
+/// construction.
 #[derive(Debug, Clone)]
 struct PhyMetric {
     model: PowerLaw,
     shadowing: Shadowing,
     sensor: DirectionSensor,
-    /// `Some(max_range)` under measured pricing: the same reverse-
-    /// reachability gate as [`cbtc_core::phy::AckGatedChannel`], so the
-    /// incremental survivor topology maintains exactly the graph
-    /// [`run_phy_gated_centralized_masked`] rebuilds. `None` leaves the
-    /// historical ungated arithmetic untouched.
+    /// `Some(max_range)` under measured pricing: costs go through
+    /// [`AckGatedChannel`], so the incremental survivor topology
+    /// maintains exactly the graph the gated survivor rebuild produces.
+    /// `None` leaves the ungated arithmetic untouched.
     gate: Option<f64>,
 }
 
@@ -158,8 +168,8 @@ impl LinkMetric for PhyMetric {
     fn cost(&self, u: NodeId, v: NodeId, d: f64) -> f64 {
         let channel = self.channel();
         match self.gate {
-            Some(max_range) if channel.effective_distance(v, u, d) > max_range => f64::INFINITY,
-            _ => channel.cost(u, v, d),
+            Some(max_range) => AckGatedChannel::new(&channel, max_range).cost(u, v, d),
+            None => channel.cost(u, v, d),
         }
     }
 
@@ -244,17 +254,11 @@ impl LinkReliability for PhyLinks {
     }
 
     fn priced_distance(&self, u: NodeId, v: NodeId, distance: f64) -> f64 {
-        // The same arithmetic as `PhyChannel::effective_distance`, on the
-        // same frozen gains: `d·g^(−1/n)` with the near-field clamp, and
-        // the literal geometric distance when the gain is exactly 1 (the
-        // ideal channel) — so measured pricing over σ = 0 is bit-identical
-        // to geometric pricing.
-        let gain = self.shadowing.link_gain(u.raw() as u64, v.raw() as u64);
-        if gain == 1.0 {
-            distance
-        } else {
-            distance.max(1.0) * gain.powf(-1.0 / self.model.exponent())
-        }
+        // `PhyChannel::effective_distance` on the same frozen gains: the
+        // literal geometric distance when the gain is exactly 1 (the ideal
+        // channel), so measured pricing over σ = 0 is bit-identical to
+        // geometric pricing.
+        PhyChannel::new(&self.model, &self.shadowing).effective_distance(u, v, distance)
     }
 }
 

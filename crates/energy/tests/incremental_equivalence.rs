@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use cbtc_core::{CbtcConfig, Network};
 use cbtc_energy::{
-    LifetimeConfig, LifetimeSim, PhyLinks, PhyPolicy, SurvivorTopology, TopologyPolicy,
+    LifetimeConfig, LifetimeSim, PhyLinks, PhyPolicy, SurvivorTopology, SurvivorTracker,
+    TopologyPolicy,
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId};
@@ -88,7 +89,7 @@ proptest! {
                 for &d in batch {
                     alive[d.index()] = false;
                 }
-                let delta = topo.kill(&network, batch);
+                let delta = topo.kill(batch);
                 let full = policy.build_on_survivors(&network, &alive);
                 prop_assert_eq!(
                     topo.graph(), &full,

@@ -5,7 +5,6 @@
 //! By the observation in §2 of the paper this holds iff there is a cone of
 //! degree α centered at the node containing no discovered neighbor.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::f64::consts::TAU;
 
 use crate::{Alpha, Angle};
@@ -111,171 +110,35 @@ pub fn widest_gap(directions: &[Angle]) -> Option<(f64, Angle)> {
     Some((best_gap, best_start))
 }
 
-/// Incremental form of the `gap-α` test: maintains the sorted direction
-/// set and the multiset of consecutive-direction gaps under insertion.
-///
-/// The growing phase asks the same question after every discovery group:
-/// *does an α-gap remain?* Re-running [`max_gap`] costs `O(k log k)` per
-/// query over `k` directions — `O(k² log k)` across a node's whole growth.
-/// `GapTracker` answers each query from maintained state: an insertion
-/// splits exactly one gap into two (`O(log k)`), and the largest gap is the
-/// last key of the gap multiset.
-///
-/// The reported value is **bit-identical** to [`max_gap`] over the same
-/// multiset of directions: both reduce to the identical `ccw_to` spans
-/// between consecutive *distinct* directions (duplicates contribute
-/// zero-width gaps that can never be maximal, and a set with fewer than two
-/// distinct directions is a full `2π` sweep in both formulations).
-///
-/// # Example
-///
-/// ```
-/// use cbtc_geom::{Alpha, Angle, gap::GapTracker};
-/// use std::f64::consts::TAU;
-///
-/// let mut t = GapTracker::new();
-/// assert!(t.has_alpha_gap(Alpha::TWO_PI_THIRDS));
-/// for k in 0..3 {
-///     t.insert(Angle::new(k as f64 * TAU / 3.0));
-/// }
-/// // Three directions 2π/3 apart: no gap of more than 2π/3 remains.
-/// assert!(!t.has_alpha_gap(Alpha::TWO_PI_THIRDS));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GapTracker {
-    /// Distinct directions in circular (normalized-value) order.
-    dirs: BTreeSet<Angle>,
-    /// Multiset of counter-clockwise gaps between consecutive distinct
-    /// directions (wrap-around included), keyed by the gap's `f64` bits —
-    /// monotone for the non-negative spans `ccw_to` produces — so the
-    /// largest gap is the last entry.
-    gaps: BTreeMap<u64, u32>,
-}
-
-impl GapTracker {
-    /// An empty tracker (full-circle gap).
-    pub fn new() -> Self {
-        GapTracker::default()
-    }
-
-    /// Number of *distinct* directions tracked.
-    pub fn len(&self) -> usize {
-        self.dirs.len()
-    }
-
-    /// Whether no direction has been inserted yet.
-    pub fn is_empty(&self) -> bool {
-        self.dirs.is_empty()
-    }
-
-    /// Forgets all directions.
-    pub fn clear(&mut self) {
-        self.dirs.clear();
-        self.gaps.clear();
-    }
-
-    fn gap_key(span: f64) -> u64 {
-        // `ccw_to` spans are non-negative, but fold a possible -0.0 to
-        // +0.0: the sign bit would otherwise sort it above every real gap.
-        span.max(0.0).to_bits()
-    }
-
-    fn add_gap(&mut self, span: f64) {
-        *self.gaps.entry(Self::gap_key(span)).or_insert(0) += 1;
-    }
-
-    fn remove_gap(&mut self, span: f64) {
-        let key = Self::gap_key(span);
-        let count = self
-            .gaps
-            .get_mut(&key)
-            .expect("gap multiset out of sync with direction set");
-        *count -= 1;
-        if *count == 0 {
-            self.gaps.remove(&key);
-        }
-    }
-
-    /// Inserts a direction. Duplicates of an already-tracked direction are
-    /// no-ops, mirroring their zero-width contribution in [`max_gap`].
-    pub fn insert(&mut self, dir: Angle) {
-        if self.dirs.contains(&dir) {
-            return;
-        }
-        match self.dirs.len() {
-            0 => {}
-            1 => {
-                let other = *self.dirs.iter().next().expect("len checked");
-                self.add_gap(other.ccw_to(dir));
-                self.add_gap(dir.ccw_to(other));
-            }
-            _ => {
-                // Circular predecessor / successor of the new direction.
-                let pred = *self
-                    .dirs
-                    .range(..dir)
-                    .next_back()
-                    .or_else(|| self.dirs.iter().next_back())
-                    .expect("non-empty");
-                let succ = *self
-                    .dirs
-                    .range(dir..)
-                    .next()
-                    .or_else(|| self.dirs.iter().next())
-                    .expect("non-empty");
-                self.remove_gap(pred.ccw_to(succ));
-                self.add_gap(pred.ccw_to(dir));
-                self.add_gap(dir.ccw_to(succ));
-            }
-        }
-        self.dirs.insert(dir);
-    }
-
-    /// The largest counter-clockwise gap between consecutive directions —
-    /// exactly [`max_gap`] over the inserted multiset.
-    pub fn max_gap(&self) -> f64 {
-        if self.dirs.len() < 2 {
-            return TAU;
-        }
-        let (&bits, _) = self.gaps.iter().next_back().expect("≥ 2 distinct dirs");
-        f64::from_bits(bits)
-    }
-
-    /// The incremental `gap-α(Du)` test — exactly [`has_alpha_gap`] over
-    /// the inserted multiset.
-    pub fn has_alpha_gap(&self, alpha: Alpha) -> bool {
-        self.max_gap() > alpha.radians() + crate::EPS
-    }
-}
-
-/// The flat, allocation-free form of [`GapTracker`] the construction hot
+/// Incremental form of the `gap-α` test, the one the construction hot
 /// loop runs: a sorted `Vec` of normalized radians plus an O(1)-per-insert
 /// count of the spans that exceed the α-gap threshold.
 ///
-/// [`GapTracker`] maintains the *maximum* gap in a `BTreeMap` multiset —
-/// `O(log k)` pointer-chasing inserts and two heap allocations per
-/// tracker. But the growing phase never asks for the maximum: it asks one
-/// fixed question per node, *does any gap exceed `α +`[`crate::EPS`]?*,
-/// for a single α known up front. `FlatGapTracker` therefore fixes the
-/// threshold at construction and maintains only `open`, the number of
-/// consecutive-direction spans exceeding it. An insertion splits exactly
+/// The growing phase asks the same question after every discovery group:
+/// *does an α-gap remain?* Re-running [`has_alpha_gap`] costs
+/// `O(k log k)` per query over `k` directions — `O(k² log k)` across a
+/// node's whole growth. But the growing phase never needs the maximum
+/// gap itself: it asks one fixed question per node, *does any gap exceed
+/// `α +`[`crate::EPS`]?*, for a single α known up front.
+/// `FlatGapTracker` therefore fixes the threshold at construction and
+/// maintains only `open`, the number of consecutive-direction spans
+/// exceeding it. An insertion splits exactly
 /// one span into two: decrement `open` if the removed span was open,
 /// increment per new open span — three comparisons, no tree. The sorted
 /// direction vec is the only storage, and [`FlatGapTracker::reset`] keeps
 /// its capacity so a reused tracker allocates nothing at steady state.
 ///
-/// ## Bit-identity with the `Angle` path
+/// ## Bit-identity with the batch scan
 ///
 /// Spans are computed by the *same* expression as [`Angle::ccw_to`] over
-/// the same normalized radians, directions deduplicate by the same
-/// total-order bits as the `BTreeSet<Angle>`, and the threshold is the
-/// same `α + EPS` sum — so
+/// the same normalized radians, duplicates contribute nothing (as their
+/// zero-width spans never can in [`max_gap`]), a set with fewer than two
+/// distinct directions is a full `2π` sweep in both formulations, and the
+/// threshold is the same `α + EPS` sum — so
+/// [`max_gap`](FlatGapTracker::max_gap) equals [`max_gap`] and
 /// [`has_open_gap`](FlatGapTracker::has_open_gap) equals
-/// `GapTracker::has_alpha_gap(α)` (equivalently
-/// `max_gap() > α + EPS`) **bit for bit** on every insertion prefix; the
-/// tests assert it exhaustively. For the trig-free variant keyed on
-/// pseudo-angles (equivalent but not bit-identical), see
-/// [`crate::pseudo::PseudoGapTracker`].
+/// [`has_alpha_gap`] **bit for bit** on every insertion prefix; the tests
+/// assert it exhaustively.
 ///
 /// # Example
 ///
@@ -293,9 +156,8 @@ impl GapTracker {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlatGapTracker {
-    /// Distinct normalized radians in `f64::total_cmp` order — the same
-    /// order (and the same dedup rule) as [`GapTracker`]'s
-    /// `BTreeSet<Angle>`.
+    /// Distinct normalized radians in `f64::total_cmp` order (equal bits
+    /// deduplicate).
     dirs: Vec<f64>,
     /// `α + EPS`, fixed at construction/reset.
     threshold: f64,
@@ -377,9 +239,9 @@ impl FlatGapTracker {
         self.dirs.insert(i, r);
     }
 
-    /// The incremental `gap-α(Du)` verdict: exactly
-    /// [`GapTracker::has_alpha_gap`] (and [`has_alpha_gap`]) for the α
-    /// the tracker was armed with, over the inserted multiset.
+    /// The incremental `gap-α(Du)` verdict: exactly [`has_alpha_gap`]
+    /// for the α the tracker was armed with, over the inserted
+    /// multiset.
     pub fn has_open_gap(&self) -> bool {
         if self.dirs.len() < 2 {
             TAU > self.threshold
@@ -493,8 +355,8 @@ mod tests {
     #[test]
     fn tracker_matches_batch_on_every_prefix() {
         // Pseudo-random direction stream with forced duplicates and a
-        // wrap-straddling pair; after every insertion the tracker must
-        // agree bit-for-bit with the batch scan over the prefix.
+        // wrap-straddling pair; after every insertion the flat tracker
+        // must agree bit-for-bit with the batch scan over the prefix.
         let mut stream: Vec<f64> = (0..64)
             .map(|i| (i as f64 * 0.754_877_666_246_692_8).fract() * TAU)
             .collect();
@@ -502,28 +364,29 @@ mod tests {
         stream[20] = stream[3];
         stream[30] = 350f64.to_radians();
         stream[31] = 10f64.to_radians();
-        let mut tracker = GapTracker::new();
-        let mut prefix = Vec::new();
-        assert_eq!(tracker.max_gap(), TAU);
-        for (i, &raw) in stream.iter().enumerate() {
-            let dir = Angle::new(raw);
-            tracker.insert(dir);
-            prefix.push(dir);
-            assert_eq!(
-                tracker.max_gap().to_bits(),
-                max_gap(&prefix).to_bits(),
-                "prefix of {} directions",
-                i + 1
-            );
-            for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
-                assert_eq!(tracker.has_alpha_gap(alpha), has_alpha_gap(&prefix, alpha));
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+            let mut tracker = FlatGapTracker::new(alpha);
+            let mut prefix = Vec::new();
+            assert_eq!(tracker.max_gap(), TAU);
+            assert!(tracker.is_empty());
+            for (i, &raw) in stream.iter().enumerate() {
+                let dir = Angle::new(raw);
+                tracker.insert(dir);
+                prefix.push(dir);
+                assert_eq!(
+                    tracker.max_gap().to_bits(),
+                    max_gap(&prefix).to_bits(),
+                    "prefix of {} directions",
+                    i + 1
+                );
+                assert_eq!(tracker.has_open_gap(), has_alpha_gap(&prefix, alpha));
             }
         }
     }
 
     #[test]
     fn tracker_handles_duplicates_and_identical_sets() {
-        let mut t = GapTracker::new();
+        let mut t = FlatGapTracker::new(Alpha::FIVE_PI_SIXTHS);
         assert!(t.is_empty());
         t.insert(Angle::new(1.0));
         t.insert(Angle::new(1.0));
@@ -533,47 +396,9 @@ mod tests {
         t.insert(Angle::new(1.0 + PI));
         assert_eq!(t.len(), 2);
         assert!((t.max_gap() - PI).abs() < 1e-12);
-        t.clear();
+        t.reset(Alpha::FIVE_PI_SIXTHS);
         assert!(t.is_empty());
         assert_eq!(t.max_gap(), TAU);
-    }
-
-    #[test]
-    fn flat_tracker_is_bit_identical_to_btree_tracker_on_every_prefix() {
-        // The same stress stream as `tracker_matches_batch_on_every_prefix`:
-        // duplicates, a wrap-straddling pair, and 64 pseudo-random
-        // directions. The flat tracker's verdict and max gap must agree
-        // bit-for-bit with both the BTree tracker and the batch scan.
-        let mut stream: Vec<f64> = (0..64)
-            .map(|i| (i as f64 * 0.754_877_666_246_692_8).fract() * TAU)
-            .collect();
-        stream[10] = stream[3];
-        stream[20] = stream[3];
-        stream[30] = 350f64.to_radians();
-        stream[31] = 10f64.to_radians();
-        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
-            let mut flat = FlatGapTracker::new(alpha);
-            let mut btree = GapTracker::new();
-            let mut prefix = Vec::new();
-            assert_eq!(flat.max_gap(), TAU);
-            assert!(flat.is_empty());
-            for (i, &raw) in stream.iter().enumerate() {
-                let dir = Angle::new(raw);
-                flat.insert(dir);
-                btree.insert(dir);
-                prefix.push(dir);
-                assert_eq!(flat.len(), btree.len());
-                assert_eq!(
-                    flat.max_gap().to_bits(),
-                    btree.max_gap().to_bits(),
-                    "prefix of {} directions",
-                    i + 1
-                );
-                assert_eq!(flat.max_gap().to_bits(), max_gap(&prefix).to_bits());
-                assert_eq!(flat.has_open_gap(), btree.has_alpha_gap(alpha));
-                assert_eq!(flat.has_open_gap(), has_alpha_gap(&prefix, alpha));
-            }
-        }
     }
 
     #[test]
@@ -615,15 +440,19 @@ mod tests {
     #[test]
     fn tracker_insertion_order_is_irrelevant() {
         let dirs = angles(&[5.9, 0.1, 3.3, 2.2, 4.7, 1.6]);
-        let mut forward = GapTracker::new();
-        let mut backward = GapTracker::new();
-        for &d in &dirs {
-            forward.insert(d);
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::new(1.2).unwrap()] {
+            let mut forward = FlatGapTracker::new(alpha);
+            let mut backward = FlatGapTracker::new(alpha);
+            for &d in &dirs {
+                forward.insert(d);
+            }
+            for &d in dirs.iter().rev() {
+                backward.insert(d);
+            }
+            assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
+            assert_eq!(forward.max_gap().to_bits(), max_gap(&dirs).to_bits());
+            assert_eq!(forward.has_open_gap(), backward.has_open_gap());
+            assert_eq!(forward.has_open_gap(), has_alpha_gap(&dirs, alpha));
         }
-        for &d in dirs.iter().rev() {
-            backward.insert(d);
-        }
-        assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
-        assert_eq!(forward.max_gap().to_bits(), max_gap(&dirs).to_bits());
     }
 }

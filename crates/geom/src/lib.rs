@@ -14,11 +14,8 @@
 //! * [`Cone`] — the cone `cone(u, α, v)` of degree `α` bisected by the ray
 //!   from `u` through `v` (Lemma 2.2's central object);
 //! * [`gap`] — the α-gap test over direction sets, the predicate that drives
-//!   the CBTC growing phase (batch, and incremental via [`gap::GapTracker`]
-//!   and the flat allocation-free [`gap::FlatGapTracker`]);
-//! * [`pseudo`] — trig-free circular ordering and cone tests
-//!   ([`pseudo::PseudoAngle`], [`pseudo::ConeTest`]): the α-gap machinery
-//!   with zero `atan2` in the hot loop;
+//!   the CBTC growing phase (batch, and incremental via the flat
+//!   allocation-free [`gap::FlatGapTracker`]);
 //! * [`coverage`] — the angular coverage operator `coverα(dir)` used by the
 //!   shrink-back optimization (§3.1);
 //! * [`circle`] — circle intersection, used by the Theorem 2.4 lower-bound
@@ -35,8 +32,7 @@
 //! | [`Point2`], [`Angle`] | §1 problem statement: nodes in the plane, `dir_u(v)` |
 //! | [`Alpha`] | the parameter `α` with the §2 (5π/6) and §3.2 (2π/3) thresholds |
 //! | [`cone`], [`triangle`], [`circle`] | the geometric objects of the §2 proofs (Lemma 2.2, Theorem 2.4) |
-//! | [`gap`] | the α-gap termination test of Figure 1 (batch, incremental via [`gap::GapTracker`], and the flat O(1)-per-insert [`gap::FlatGapTracker`] the construction hot loop runs) |
-//! | [`pseudo`] | the §3 cone test `∠ccw(u→v) > θ` from cross/dot sign-quadrants ([`pseudo::ConeTest`]), diamond-angle ordering ([`pseudo::PseudoAngle`]), and the zero-`atan2` α-gap tracker ([`pseudo::PseudoGapTracker`]) |
+//! | [`gap`] | the α-gap termination test of Figure 1 (batch, and the flat O(1)-per-insert [`gap::FlatGapTracker`] the construction hot loop runs) |
 //! | [`coverage`] | `coverα(dir)` of §3.1 (shrink-back) |
 //! | [`constructions`] | Example 2.1 / Figure 2 and Theorem 2.4 / Figure 5 |
 //!
@@ -64,7 +60,6 @@ pub mod cone;
 pub mod constructions;
 pub mod coverage;
 pub mod gap;
-pub mod pseudo;
 pub mod triangle;
 
 pub use alpha::{Alpha, InvalidAlphaError};

@@ -1,9 +1,9 @@
 //! Property-based tests of the geometry substrate.
 
-use std::f64::consts::TAU;
+use std::f64::consts::{FRAC_PI_4, TAU};
 
 use cbtc_geom::coverage::ArcSet;
-use cbtc_geom::gap::{has_alpha_gap, max_gap, widest_gap};
+use cbtc_geom::gap::{has_alpha_gap, max_gap, widest_gap, FlatGapTracker};
 use cbtc_geom::triangle::{angle_at, largest_angle_faces_largest_side};
 use cbtc_geom::{Alpha, Angle, Cone, Point2};
 use proptest::prelude::*;
@@ -15,6 +15,28 @@ fn angles(max_len: usize) -> impl Strategy<Value = Vec<Angle>> {
 
 fn alphas() -> impl Strategy<Value = Alpha> {
     (0.05f64..TAU).prop_map(|a| Alpha::new(a).unwrap())
+}
+
+/// Either of the paper's two α values exactly, or a uniform one.
+fn paper_biased_alphas() -> impl Strategy<Value = Alpha> {
+    (0u8..5, 0.05f64..TAU).prop_map(|(sel, a)| match sel {
+        0 => Alpha::TWO_PI_THIRDS,
+        1 => Alpha::FIVE_PI_SIXTHS,
+        _ => Alpha::new(a).unwrap(),
+    })
+}
+
+/// Directions biased toward exact ties: multiples of π/4 (the axis rays
+/// and diagonals), mixed with uniform ones.
+fn biased_angles(max_len: usize) -> impl Strategy<Value = Vec<Angle>> {
+    let direction = (0u8..12, 0.0f64..TAU).prop_map(|(sel, a)| {
+        Angle::new(if sel < 8 {
+            f64::from(sel) * FRAC_PI_4
+        } else {
+            a
+        })
+    });
+    proptest::collection::vec(direction, 0..max_len)
 }
 
 fn points() -> impl Strategy<Value = Point2> {
@@ -153,5 +175,50 @@ proptest! {
         let fwd = a.direction_to(b);
         let back = b.direction_to(a);
         prop_assert!(fwd.circular_distance(back.opposite()) < 1e-9);
+    }
+
+    /// The flat tracker the construction hot loop runs is **bit-identical**
+    /// to the batch scan — same max gap bits and same verdict after every
+    /// insertion, for every α — which is what lets the growing phase ask
+    /// the α-gap question incrementally without changing one output bit.
+    #[test]
+    fn flat_tracker_bit_identical_to_batch_scan(
+        raw in proptest::collection::vec(0.0f64..TAU, 0..32),
+        alpha in paper_biased_alphas(),
+    ) {
+        let mut flat = FlatGapTracker::new(alpha);
+        let mut prefix: Vec<Angle> = Vec::new();
+        for r in raw {
+            let dir = Angle::new(r);
+            flat.insert(dir);
+            prefix.push(dir);
+            let mut distinct = prefix.clone();
+            distinct.sort();
+            distinct.dedup();
+            prop_assert_eq!(flat.len(), distinct.len());
+            prop_assert_eq!(flat.max_gap().to_bits(), max_gap(&prefix).to_bits());
+            prop_assert_eq!(flat.has_open_gap(), has_alpha_gap(&prefix, alpha));
+        }
+    }
+
+    /// Insertion order is irrelevant to the flat tracker: any permutation
+    /// of the same direction set yields the same max gap bits and verdict.
+    #[test]
+    fn tracker_verdicts_are_order_independent(
+        dirs in biased_angles(12),
+        alpha in paper_biased_alphas(),
+    ) {
+        let mut forward = FlatGapTracker::new(alpha);
+        let mut backward = FlatGapTracker::new(alpha);
+        for &d in &dirs {
+            forward.insert(d);
+        }
+        for &d in dirs.iter().rev() {
+            backward.insert(d);
+        }
+        prop_assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
+        prop_assert_eq!(forward.has_open_gap(), backward.has_open_gap());
+        prop_assert_eq!(forward.len(), backward.len());
+        prop_assert_eq!(forward.has_open_gap(), has_alpha_gap(&dirs, alpha));
     }
 }

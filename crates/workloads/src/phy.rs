@@ -17,9 +17,9 @@
 //!   fading, soft PRR, SINR interference, slotted CSMA) — and reports
 //!   the beacon/Hello overhead the non-ideal channel induces.
 
-use cbtc_core::phy::{phy_reach_digraph, phy_reach_graph, run_phy_centralized, PhyChannel};
+use cbtc_core::phy::{phy_reach_digraph, phy_reach_graph, PhyChannel};
 use cbtc_core::protocol::{collect_outcome, CbtcNode, GrowthConfig};
-use cbtc_core::{CbtcConfig, Network};
+use cbtc_core::{construct, CbtcConfig, Network};
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::metrics::average_degree;
 use cbtc_graph::paths::{dijkstra, power_weight};
@@ -135,7 +135,7 @@ pub fn phy_construction_probe(
         let profile = PhyProfile::shadowed(sigma_db, base_seed ^ seed);
         let shadowing = profile.shadowing();
         let channel = PhyChannel::new(network.model(), &shadowing);
-        let run = run_phy_centralized(&network, &channel, config);
+        let run = construct(&network, &channel, config, None, true);
         // One reach scan per trial: the symmetric graph is derived from
         // the digraph rather than rebuilt.
         let digraph = phy_reach_digraph(&network, &channel);

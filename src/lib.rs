@@ -118,8 +118,8 @@
 //! paper's model:
 //!
 //! ```
-//! use cbtc::core::phy::{run_phy_centralized, PhyChannel};
-//! use cbtc::core::{run_centralized, CbtcConfig};
+//! use cbtc::core::phy::PhyChannel;
+//! use cbtc::core::{construct, run_centralized, CbtcConfig};
 //! use cbtc::geom::Alpha;
 //! use cbtc::radio::IdealGain;
 //! use cbtc::workloads::{RandomPlacement, Scenario};
@@ -127,9 +127,12 @@
 //! let network = RandomPlacement::from_scenario(&Scenario::smoke()).generate(3);
 //! let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
 //! let channel = PhyChannel::new(network.model(), &IdealGain);
-//! let phy = run_phy_centralized(&network, &channel, &config);
+//! // The one engine, on the channel's effective distances, with the
+//! // pairwise connectivity guard that off-unit-disk metrics need.
+//! let phy = construct(&network, &channel, &config, None, true);
 //! let ideal = run_centralized(&network, &config);
 //! assert_eq!(phy.final_graph(), ideal.final_graph());
+//! assert!(phy.pairwise_restored().is_empty());
 //! ```
 
 pub use cbtc_core as core;

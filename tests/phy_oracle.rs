@@ -14,7 +14,7 @@
 
 use cbtc::core::phy::{optimize_phy, run_phy_gated_centralized, PhyChannel};
 use cbtc::core::protocol::{collect_outcome, CbtcNode, GrowthConfig};
-use cbtc::core::{opt, CbtcConfig, Network};
+use cbtc::core::{construct, opt, CbtcConfig, Network};
 use cbtc::geom::{Alpha, Point2};
 use cbtc::graph::Layout;
 use cbtc::phy::{PhyProfile, ShadowingMode};
@@ -169,7 +169,7 @@ fn reciprocal_gains_make_the_gate_invisible() {
         let shadowing = profile.shadowing();
         let channel = PhyChannel::new(network.model(), &shadowing);
         let gated = run_phy_gated_centralized(&network, &channel, &config);
-        let plain = cbtc::core::phy::run_phy_centralized(&network, &channel, &config);
+        let plain = construct(&network, &channel, &config, None, true);
         assert_eq!(gated.final_graph(), plain.final_graph(), "seed {seed}");
     }
 }
