@@ -127,6 +127,23 @@ fn check_row<M: LinkMetric>(
     Ok(())
 }
 
+/// Every row of the engine table for one mask: metric {geometric, ideal
+/// channel} × guard {off, on} × configuration.
+fn check_table(network: &Network, alive: Option<&[bool]>) -> Result<(), TestCaseError> {
+    let channel = PhyChannel::new(network.model(), &IdealGain);
+    for config in configs() {
+        let expected = match alive {
+            None => oracle(network, &config),
+            Some(alive) => masked_oracle(network, &config, alive),
+        };
+        for guard in [false, true] {
+            check_row(network, &GeometricMetric, &config, alive, guard, &expected)?;
+            check_row(network, &channel, &config, alive, guard, &expected)?;
+        }
+    }
+    Ok(())
+}
+
 /// Random layouts with no two nodes exactly coincident (directions are
 /// undefined between coincident nodes, in every engine alike).
 fn layouts() -> impl Strategy<Value = Layout> {
@@ -169,31 +186,31 @@ fn lattice_layouts(pitch: f64) -> impl Strategy<Value = Layout> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The engine table: metric {geometric, ideal channel} × mask {none,
-    /// random} × guard {off, on} × configuration, every row
-    /// against the oracle and single-threaded ≡ parallel. On an ideal
-    /// channel every cost is the geometric distance bit for bit, so one
-    /// oracle serves both metrics, and the guard never fires.
+    /// The engine table, unmasked half: metric {geometric, ideal channel}
+    /// × guard {off, on} × configuration, every row against the oracle
+    /// and single-threaded ≡ parallel. On an ideal channel every cost is
+    /// the geometric distance bit for bit, so one oracle serves both
+    /// metrics, and the guard never fires.
     #[test]
-    fn engines_agree_on_random_layouts(layout in layouts(), mask_seed in 0u64..u64::MAX) {
+    fn engines_agree_on_random_layouts(layout in layouts()) {
         let network = Network::with_paper_radio(layout);
-        let channel = PhyChannel::new(network.model(), &IdealGain);
+        check_table(&network, None)?;
+    }
+
+    /// The engine table, masked half: the same rows under a random alive
+    /// mask, against the extract-and-remap oracle (a fresh sub-network of
+    /// the survivors, the oracle there, IDs mapped back).
+    #[test]
+    fn masked_run_equals_subnetwork_oracle(
+        layout in layouts(),
+        mask_seed in 0u64..u64::MAX,
+    ) {
+        let network = Network::with_paper_radio(layout);
         // A deterministic pseudo-random alive mask from the seed.
-        let random_mask: Vec<bool> = (0..network.len())
+        let alive: Vec<bool> = (0..network.len())
             .map(|i| (mask_seed >> (i % 64)) & 1 == 0 || i % 5 == 0)
             .collect();
-        for alive in [None, Some(random_mask.as_slice())] {
-            for config in configs() {
-                let expected = match alive {
-                    None => oracle(&network, &config),
-                    Some(alive) => masked_oracle(&network, &config, alive),
-                };
-                for guard in [false, true] {
-                    check_row(&network, &GeometricMetric, &config, alive, guard, &expected)?;
-                    check_row(&network, &channel, &config, alive, guard, &expected)?;
-                }
-            }
-        }
+        check_table(&network, Some(&alive))?;
     }
 
     /// Lattice layouts force exact distance ties (whole groups must be

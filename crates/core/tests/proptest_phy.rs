@@ -1,27 +1,36 @@
 //! Property tests of the stochastic-channel (phy) construction pipeline.
-//! (Ideal-channel equivalence with the geometric reference is a row of
+//! (The plain ideal channel's equivalence with the oracle is a row of
 //! the engine table in `proptest_construction`.)
 //!
-//! Two guarantees are pinned down:
+//! Three guarantees are pinned down:
 //!
-//! 1. **Pairwise-removal safety off the unit disk** — on lossy
+//! 1. **Ideal equivalence** — with every link gain exactly 1 and exact
+//!    sensing, the feedback-gated phy pipeline is bit-identical to the
+//!    geometric reference (`run_centralized`), full and masked, at every
+//!    optimization level.
+//! 2. **Pairwise-removal safety off the unit disk** — on lossy
 //!    (shadowed, per-direction asymmetric) topologies, the guarded
 //!    pairwise removal never changes the partition of the symmetric
 //!    subgraph it prunes (the §3.3 step can no longer rely on Theorem
 //!    3.6's unit-disk scaffolding; the connectivity guard substitutes
 //!    for it).
-//! 2. **Asymmetric-edge removal semantics under asymmetric gains** —
+//! 3. **Asymmetric-edge removal semantics under asymmetric gains** —
 //!    the final graph after §3.2 removal is a subgraph of the symmetric
 //!    reach graph (it never keeps a one-directional link), and on an
 //!    ideal channel it preserves the reach graph's connectivity exactly
 //!    as Theorem 3.2 promises.
 
-use cbtc_core::phy::{phy_reach_graph, PhyChannel};
-use cbtc_core::{construct, CbtcConfig, Network};
+use cbtc_core::phy::{
+    phy_reach_graph, run_phy_gated_basic, run_phy_gated_centralized, AckGatedChannel, PhyChannel,
+};
+use cbtc_core::{
+    construct, run_basic, run_centralized, run_centralized_masked, CbtcConfig, Network,
+};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::Layout;
 use cbtc_phy::{Shadowing, ShadowingMode};
+use cbtc_radio::IdealGain;
 use proptest::prelude::*;
 
 /// Random networks with no two nodes coincident.
@@ -41,8 +50,52 @@ fn networks() -> impl Strategy<Value = Network> {
     })
 }
 
+fn configs() -> [CbtcConfig; 3] {
+    [
+        CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
+        CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS),
+        CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Ideal channel ⇒ the feedback-gated phy pipeline replays the
+    /// geometric one bit for bit (growth views, final graphs, pairwise
+    /// removals; the connectivity guard never fires).
+    #[test]
+    fn ideal_phy_pipeline_is_bit_identical(network in networks()) {
+        let channel = PhyChannel::new(network.model(), &IdealGain);
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+            prop_assert_eq!(
+                run_phy_gated_basic(&network, &channel, alpha).views(),
+                run_basic(&network, alpha).views()
+            );
+        }
+        for config in configs() {
+            let phy = run_phy_gated_centralized(&network, &channel, &config);
+            let ideal = run_centralized(&network, &config);
+            prop_assert_eq!(phy.final_graph(), ideal.final_graph());
+            prop_assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
+            prop_assert!(phy.pairwise_restored().is_empty());
+        }
+    }
+
+    /// Ideal channel, masked: the gated survivor re-run matches too.
+    #[test]
+    fn ideal_phy_masked_is_bit_identical(network in networks(), mask_seed in 0u64..1000) {
+        let channel = PhyChannel::new(network.model(), &IdealGain);
+        let gated = AckGatedChannel::new(&channel, network.max_range());
+        let alive: Vec<bool> = (0..network.len())
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(mask_seed) % 4 != 0)
+            .collect();
+        let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
+        let phy = construct(&network, &gated, &config, Some(&alive), true);
+        let ideal = run_centralized_masked(&network, &config, &alive);
+        prop_assert_eq!(phy.final_graph(), ideal.final_graph());
+        prop_assert!(phy.pairwise_restored().is_empty());
+    }
 
     /// On lossy topologies (independent per-direction shadowing), the
     /// guarded pairwise removal never disconnects the symmetric subgraph

@@ -402,6 +402,53 @@ mod tests {
     }
 
     #[test]
+    fn flat_tracker_is_bit_identical_to_btree_tracker_on_every_prefix() {
+        // Reference: the directions in a `BTreeSet<Angle>` (deduplicated
+        // by `Angle`'s total order rather than the flat tracker's sorted
+        // vec), every circular-neighbor span rescanned per prefix.
+        fn btree_max_gap(dirs: &std::collections::BTreeSet<Angle>) -> f64 {
+            if dirs.len() < 2 {
+                return TAU;
+            }
+            let first = *dirs.iter().next().expect("len checked");
+            let last = *dirs.iter().next_back().expect("len checked");
+            dirs.iter()
+                .zip(dirs.iter().skip(1))
+                .map(|(a, b)| a.ccw_to(*b))
+                .fold(last.ccw_to(first), f64::max)
+        }
+        // The same stress stream as `tracker_matches_batch_on_every_prefix`.
+        let mut stream: Vec<f64> = (0..64)
+            .map(|i| (i as f64 * 0.754_877_666_246_692_8).fract() * TAU)
+            .collect();
+        stream[10] = stream[3];
+        stream[20] = stream[3];
+        stream[30] = 350f64.to_radians();
+        stream[31] = 10f64.to_radians();
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+            let mut flat = FlatGapTracker::new(alpha);
+            let mut btree = std::collections::BTreeSet::new();
+            for (i, &raw) in stream.iter().enumerate() {
+                let dir = Angle::new(raw);
+                flat.insert(dir);
+                btree.insert(dir);
+                let reference = btree_max_gap(&btree);
+                assert_eq!(flat.len(), btree.len(), "prefix of {} directions", i + 1);
+                assert_eq!(
+                    flat.max_gap().to_bits(),
+                    reference.to_bits(),
+                    "prefix of {} directions",
+                    i + 1
+                );
+                assert_eq!(
+                    flat.has_open_gap(),
+                    reference > alpha.radians() + crate::EPS
+                );
+            }
+        }
+    }
+
+    #[test]
     fn flat_tracker_reset_reuses_and_rearms() {
         let mut t = FlatGapTracker::new(Alpha::TWO_PI_THIRDS);
         for k in 0..3 {
