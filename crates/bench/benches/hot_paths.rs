@@ -164,25 +164,30 @@ fn bench_centralized(c: &mut Criterion) {
 fn bench_optimizations(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizations");
     group.sample_size(20);
-    let network = paper_network(100, 3);
-    let basic = run_basic(&network, Alpha::FIVE_PI_SIXTHS);
-    let closure = basic.symmetric_closure();
+    // 100 nodes is the paper's scale and always runs inline; at 10k
+    // nodes (paper density) every §3 stage fans out over the cores.
+    for n in [100usize, 10_000] {
+        let side = 1500.0 * (n as f64 / 100.0).sqrt();
+        let network = RandomPlacement::new(n, side, side, 500.0).generate(3);
+        let basic = run_basic(&network, Alpha::FIVE_PI_SIXTHS);
+        let closure = basic.symmetric_closure();
 
-    group.bench_function("shrink_back_100", |b| {
-        b.iter(|| shrink_back(std::hint::black_box(&basic)));
-    });
-    group.bench_function("pairwise_removal_100", |b| {
-        b.iter(|| {
-            pairwise_removal(
-                std::hint::black_box(&closure),
-                network.layout(),
-                PairwisePolicy::PowerReducing,
-            )
+        group.bench_function(format!("shrink_back_{n}"), |b| {
+            b.iter(|| shrink_back(std::hint::black_box(&basic)));
         });
-    });
-    group.bench_function("symmetric_closure_100", |b| {
-        b.iter(|| std::hint::black_box(&basic).symmetric_closure());
-    });
+        group.bench_function(format!("pairwise_removal_{n}"), |b| {
+            b.iter(|| {
+                pairwise_removal(
+                    std::hint::black_box(&closure),
+                    network.layout(),
+                    PairwisePolicy::PowerReducing,
+                )
+            });
+        });
+        group.bench_function(format!("symmetric_closure_{n}"), |b| {
+            b.iter(|| std::hint::black_box(&basic).symmetric_closure());
+        });
+    }
     group.finish();
 }
 

@@ -1,8 +1,9 @@
-//! Topology-construction benchmark: the output-sensitive, parallel
-//! growing phase against the all-pairs reference — with per-phase
-//! timings (grid build / grow / pairwise), a thread-scaling table, and
-//! million-node rows — plus the incremental survivor-reconfiguration
-//! path against the rebuild-everything path.
+//! Topology-construction benchmark: the whole `CBTC(5π/6)` pipeline a
+//! caller pays for — grid build, grow, shrink-back, symmetric closure and
+//! §3.3 pairwise removal — end to end, split into per-phase timings from
+//! one run that add up to its end-to-end time, with a thread-scaling
+//! table and million-node rows, plus the incremental
+//! survivor-reconfiguration path against the rebuild-everything path.
 //!
 //! ```sh
 //! cargo run --release -p cbtc-bench --bin construction \
@@ -12,10 +13,15 @@
 //!
 //! Honesty rules, enforced at runtime:
 //!
-//! * the brute-force oracle (`run_basic_brute`) runs at every size up
-//!   to `--brute-max` and its outcome is asserted equal to the engine's;
-//! * the parallel engine's outcome is asserted **bit-identical** to the
-//!   same engine capped to one thread at every size, 1M included;
+//! * every timed construction is `run_centralized` (or its phases), and
+//!   the phased pipeline's final graph and removed edges are asserted
+//!   equal to `run_centralized`'s;
+//! * the phases are asserted to sum to the phased run's end-to-end time;
+//! * the brute-force oracle (`run_basic_brute` through the same §3
+//!   stages) runs at every size up to `--brute-max` and its run is
+//!   asserted equal to the engine's;
+//! * the parallel engine's run is asserted **bit-identical** to the same
+//!   engine capped to one thread at every size, 1M included;
 //! * the detected core count and the thread count each mode actually
 //!   plans are recorded in the JSON, and the run **aborts** if the
 //!   machine has multiple cores but the parallel mode would run
@@ -30,28 +36,39 @@
 use std::time::Instant;
 
 use cbtc_bench::Args;
-use cbtc_core::opt::{pairwise_removal, PairwisePolicy};
+use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
 use cbtc_core::parallel::{
     detected_cores, install_metrics, planned_threads, set_thread_cap, uninstall_metrics,
 };
+use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
-    construction_cell, run_basic, run_basic_brute, BasicOutcome, CbtcConfig, Network, PAR_MIN_CHUNK,
+    construction_cell, optimize, run_basic, run_basic_brute, run_centralized, CbtcConfig, CbtcRun,
+    Network, PAR_MIN_CHUNK,
 };
 use cbtc_energy::{SurvivorTopology, SurvivorTracker, TopologyPolicy};
 use cbtc_geom::Alpha;
-use cbtc_graph::{NodeId, SpatialGrid};
+use cbtc_graph::{NodeId, SpatialGrid, UndirectedGraph};
 use cbtc_metrics::MetricsRegistry;
 use cbtc_workloads::RandomPlacement;
 use serde::Serialize;
 
-/// Where the construction time goes, measured on the parallel engine:
-/// spatial-grid build, per-node growing phase, and the §3.3 pairwise
-/// pass (symmetric closure + redundant-edge removal) on the result.
+/// Where one construction's time goes, measured on the parallel engine
+/// in a single run of the pipeline composed from its public stages.
+/// The phases tile `total`, that run's end-to-end wall time (asserted).
 #[derive(Debug, Serialize)]
 struct PhaseSeconds {
     grid_build: f64,
     grow: f64,
+    shrink_back: f64,
+    closure: f64,
     pairwise: f64,
+    total: f64,
+}
+
+impl PhaseSeconds {
+    fn sum(&self) -> f64 {
+        self.grid_build + self.grow + self.shrink_back + self.closure + self.pairwise
+    }
 }
 
 /// What the fan-out workers did during one (untimed) instrumented
@@ -72,12 +89,12 @@ struct WorkerStats {
 }
 
 /// Runs one instrumented parallel construction and distills the
-/// `par.*` series. The outcome is returned so the caller can assert the
+/// `par.*` series. The run is returned so the caller can assert the
 /// instrumented run stayed bit-identical to the timed one.
-fn observe_workers(network: &Network, alpha: Alpha) -> (WorkerStats, BasicOutcome) {
+fn observe_workers(network: &Network, config: &CbtcConfig) -> (WorkerStats, CbtcRun) {
     let registry = MetricsRegistry::enabled();
     install_metrics(&registry);
-    let outcome = run_basic(network, alpha);
+    let run = run_centralized(network, config);
     uninstall_metrics();
     let snap = registry.snapshot();
     let busy = snap.histogram("par.worker_busy_nanos");
@@ -90,22 +107,30 @@ fn observe_workers(network: &Network, alpha: Alpha) -> (WorkerStats, BasicOutcom
         chunks_p50: chunks.map_or(0, |h| h.p50),
         chunks_max: chunks.map_or(0, |h| h.max),
     };
-    (stats, outcome)
+    (stats, run)
 }
 
-/// One network size's growing-phase timings, all engines verified equal.
+/// One network size's end-to-end construction timings, all engines
+/// verified equal.
 #[derive(Debug, Serialize)]
 struct SizeRow {
     nodes: usize,
     /// Square field side, scaled to hold the paper's density (100 nodes
     /// per 1500×1500 at R = 500).
     side: f64,
-    /// Edges of the symmetric closure `G_α` (a fixed point of the run).
+    /// Edges of the symmetric closure `G_α` after shrink-back.
     closure_edges: usize,
-    /// `None` above `--brute-max`: the O(n²) oracle is gated, and the
+    /// Edges §3.3 pairwise removal dropped from it.
+    pairwise_removed: usize,
+    /// Edges of the final topology.
+    final_edges: usize,
+    /// The all-pairs oracle growth through the same §3 stages. `None`
+    /// above `--brute-max`: the O(n²) oracle is gated, and the
     /// grid↔parallel bit-identity assertion carries the verification.
     brute_seconds: Option<f64>,
+    /// `run_centralized` capped to one thread.
     grid_seconds: f64,
+    /// `run_centralized` on every core.
     parallel_seconds: f64,
     /// Brute / grid when the oracle ran.
     grid_speedup: Option<f64>,
@@ -154,6 +179,8 @@ struct ReconfigRow {
 struct BenchDoc {
     schema_version: u32,
     alpha: String,
+    /// The timed pipeline, stage by stage.
+    pipeline: String,
     detected_cores: usize,
     base_seed: u64,
     sizes: Vec<SizeRow>,
@@ -174,86 +201,108 @@ fn best_of<T>(rounds: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("rounds ≥ 1"))
 }
 
+/// Wall time of `f` and its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64(), out)
+}
+
 fn paper_density_network(nodes: usize, seed: u64) -> (Network, f64) {
     let side = 1500.0 * (nodes as f64 / 100.0).sqrt();
     let network = RandomPlacement::new(nodes, side, side, 500.0).generate(seed);
     (network, side)
 }
 
-/// The parallel construction split into its phases, timed separately.
-/// The grid build is timed on an identical grid built just before the
-/// run; `run_basic` builds its own, so `grow` is its wall minus that grid
-/// time. The outcome is returned so the caller can assert the phased run
-/// stayed bit-identical to the timed one.
-fn phased_parallel_run(network: &Network, alpha: Alpha) -> (PhaseSeconds, BasicOutcome) {
+/// The pipeline of `run_centralized` composed from its public stages,
+/// each timed, in one run. The grid build is timed on an identical grid
+/// built just before the run; `run_basic` builds its own, so `grow` is
+/// its wall minus that grid time and the phases tile `total`. Returns
+/// the final graph and removed edges for the caller to check against
+/// `run_centralized`.
+fn phased_run(
+    network: &Network,
+    config: &CbtcConfig,
+) -> (PhaseSeconds, UndirectedGraph, Vec<(NodeId, NodeId)>) {
+    assert!(
+        config.shrink_back() && !config.asymmetric_removal() && config.pairwise_removal(),
+        "the phased pipeline is shrink-back, closure, pairwise"
+    );
     let layout = network.layout();
     let r = network.max_range();
-
-    let t = Instant::now();
-    let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
-    let grid_build = t.elapsed().as_secs_f64();
+    let (grid_build, grid) =
+        timed(|| SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len())));
     drop(std::hint::black_box(grid));
 
-    let t = Instant::now();
-    let outcome = run_basic(network, alpha);
-    let grow = (t.elapsed().as_secs_f64() - grid_build).max(0.0);
+    let start = Instant::now();
+    let (basic_wall, basic) = timed(|| run_basic(network, config.alpha()));
+    let (shrink_s, shrunk) = timed(|| shrink_back(&basic));
+    let (closure_s, closure) = timed(|| shrunk.symmetric_closure());
+    let (pairwise_s, pruned) =
+        timed(|| pairwise_removal(&closure, layout, PairwisePolicy::PowerReducing));
+    let total = start.elapsed().as_secs_f64();
 
-    let t = Instant::now();
-    let closure = outcome.symmetric_closure();
-    std::hint::black_box(pairwise_removal(
-        &closure,
-        layout,
-        PairwisePolicy::PowerReducing,
-    ));
-    let pairwise = t.elapsed().as_secs_f64();
-
-    (
-        PhaseSeconds {
-            grid_build,
-            grow,
-            pairwise,
-        },
-        outcome,
-    )
+    let phases = PhaseSeconds {
+        grid_build,
+        grow: (basic_wall - grid_build).max(0.0),
+        shrink_back: shrink_s,
+        closure: closure_s,
+        pairwise: pairwise_s,
+        total,
+    };
+    (phases, pruned.graph, pruned.removed)
 }
 
-fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRow {
+fn bench_size(nodes: usize, config: &CbtcConfig, seed: u64, brute_max: usize) -> SizeRow {
     let (network, side) = paper_density_network(nodes, seed);
     // Big sizes get one timing round (a round is already seconds); small
     // ones best-of to damp scheduler noise.
     let rounds = if nodes >= 100_000 { 1 } else { 3 };
 
     set_thread_cap(Some(1));
-    let (grid_seconds, grid) = best_of(rounds, || run_basic(&network, alpha));
+    let (grid_seconds, grid) = best_of(rounds, || run_centralized(&network, config));
     set_thread_cap(None);
-    let (parallel_seconds, parallel) = best_of(rounds, || run_basic(&network, alpha));
+    let (parallel_seconds, parallel) = best_of(rounds, || run_centralized(&network, config));
     assert_eq!(
         grid, parallel,
         "parallel engine diverged from single-thread grid at n={nodes}"
     );
 
     let brute_seconds = (nodes <= brute_max).then(|| {
-        let (brute_seconds, brute) = best_of(1, || run_basic_brute(&network, alpha));
+        let (brute_seconds, brute) = best_of(1, || {
+            let basic = run_basic_brute(&network, config.alpha());
+            optimize(&network, &GeometricMetric, config, basic, false)
+        });
         assert_eq!(brute, grid, "grid engine diverged from oracle at n={nodes}");
         brute_seconds
     });
 
-    let (phases, phased) = phased_parallel_run(&network, alpha);
-    assert_eq!(
-        phased, parallel,
-        "phased run diverged from the timed run at n={nodes}"
+    let (phases, phased_graph, phased_removed) = phased_run(&network, config);
+    assert!(
+        phased_graph == *parallel.final_graph() && phased_removed == parallel.pairwise_removed(),
+        "phased pipeline diverged from run_centralized at n={nodes}"
+    );
+    let gap = (phases.total - phases.sum()).abs();
+    assert!(
+        gap <= 0.01 * phases.total + 1e-3,
+        "phases sum to {:.6}s but the run took {:.6}s at n={nodes}",
+        phases.sum(),
+        phases.total
     );
 
-    let (workers, observed) = observe_workers(&network, alpha);
+    let (workers, observed) = observe_workers(&network, config);
     assert_eq!(
         observed, parallel,
         "instrumented run diverged from the uninstrumented one at n={nodes}"
     );
 
+    let closure_edges = parallel.final_graph().edge_count() + parallel.pairwise_removed().len();
     SizeRow {
         nodes,
         side,
-        closure_edges: grid.symmetric_closure().edge_count(),
+        closure_edges,
+        pairwise_removed: parallel.pairwise_removed().len(),
+        final_edges: parallel.final_graph().edge_count(),
         brute_seconds,
         grid_seconds,
         parallel_seconds,
@@ -268,11 +317,11 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
 }
 
 /// The same parallel construction under explicit thread caps 1, 2, 4, …
-/// up to the detected core count. Every capped outcome is asserted
+/// up to the detected core count. Every capped run is asserted
 /// bit-identical to the uncapped one.
-fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling {
+fn bench_thread_scaling(nodes: usize, config: &CbtcConfig, seed: u64) -> ThreadScaling {
     let (network, _) = paper_density_network(nodes, seed);
-    let reference = run_basic(&network, alpha);
+    let reference = run_centralized(&network, config);
 
     let cores = detected_cores();
     let mut caps = vec![1usize];
@@ -288,10 +337,10 @@ fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling 
     let mut rows: Vec<ThreadRow> = Vec::new();
     for &cap in &caps {
         set_thread_cap(Some(cap));
-        let (seconds, outcome) = best_of(if nodes >= 100_000 { 1 } else { 3 }, || {
-            run_basic(&network, alpha)
+        let (seconds, run) = best_of(if nodes >= 100_000 { 1 } else { 3 }, || {
+            run_centralized(&network, config)
         });
-        assert_eq!(outcome, reference, "outcome changed under thread cap {cap}");
+        assert_eq!(run, reference, "run changed under thread cap {cap}");
         let one = rows.first().map_or(seconds, |r: &ThreadRow| r.seconds);
         rows.push(ThreadRow {
             threads: cap,
@@ -389,6 +438,7 @@ fn main() {
     let brute_max: usize = args.get("brute-max", 20_000);
     let scaling_nodes: usize = args.get("scaling-nodes", 100_000);
     let alpha = Alpha::FIVE_PI_SIXTHS;
+    let config = CbtcConfig::all_applicable(alpha);
     let cores = detected_cores();
 
     // Honesty gate: "parallel" rows from a machine that can fan out but
@@ -409,20 +459,23 @@ fn main() {
         );
     }
 
-    println!("construction — CBTC({alpha}) growing phase, {cores} core(s) detected\n");
+    println!(
+        "construction — CBTC({alpha}) end to end (grid → grow → shrink-back → closure → \
+         pairwise), {cores} core(s) detected\n"
+    );
     println!(
         "{:>9} {:>13} {:>11} {:>11} {:>11} {:>7} {:>6} {:>9}",
-        "nodes", "G_α edges", "brute", "grid", "parallel", "grid×", "par×", "µs/node"
+        "nodes", "final edges", "brute", "grid", "parallel", "grid×", "par×", "µs/node"
     );
 
     let start = Instant::now();
     let mut rows = Vec::new();
     for &nodes in &sizes {
-        let row = bench_size(nodes, alpha, seed, brute_max);
+        let row = bench_size(nodes, &config, seed, brute_max);
         println!(
             "{:>9} {:>13} {:>11} {:>10.1}ms {:>10.1}ms {:>7} {:>5.1}x {:>9.2}",
             row.nodes,
-            row.closure_edges,
+            row.final_edges,
             row.brute_seconds
                 .map_or_else(|| "—".to_owned(), |s| format!("{:.1}ms", s * 1e3)),
             row.grid_seconds * 1e3,
@@ -432,12 +485,17 @@ fn main() {
             row.parallel_speedup,
             row.parallel_us_per_node,
         );
+        let p = &row.phases;
         println!(
-            "{:>9} phases: grid build {:.1}ms · grow {:.1}ms · pairwise {:.1}ms · {} thread(s)",
+            "{:>9} phases: grid build {:.1} · grow {:.1} · shrink-back {:.1} · closure {:.1} · \
+             pairwise {:.1} = {:.1}ms end to end · {} thread(s)",
             "",
-            row.phases.grid_build * 1e3,
-            row.phases.grow * 1e3,
-            row.phases.pairwise * 1e3,
+            p.grid_build * 1e3,
+            p.grow * 1e3,
+            p.shrink_back * 1e3,
+            p.closure * 1e3,
+            p.pairwise * 1e3,
+            p.total * 1e3,
             row.parallel_threads,
         );
         if row.workers.worker_samples > 0 {
@@ -456,9 +514,9 @@ fn main() {
         rows.push(row);
     }
 
-    let scaling = bench_thread_scaling(scaling_nodes.min(representative.max(1)), alpha, seed);
+    let scaling = bench_thread_scaling(scaling_nodes.min(representative.max(1)), &config, seed);
     println!(
-        "\nthread scaling at n={} (grid+grow, bit-identical under every cap):",
+        "\nthread scaling at n={} (end to end, bit-identical under every cap):",
         scaling.nodes
     );
     for r in &scaling.rows {
@@ -485,14 +543,18 @@ fn main() {
     );
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "\ncompleted in {wall:.2}s (oracle ≤ {brute_max} nodes; grid ≡ parallel at every size)"
+        "\ncompleted in {wall:.2}s (oracle ≤ {brute_max} nodes; grid ≡ parallel ≡ phased at every \
+         size; phases sum to the end-to-end time)"
     );
 
     if !args.has("no-json") {
         let path: String = args.get("json", "BENCH_construction.json".to_owned());
         let doc = BenchDoc {
-            schema_version: 3,
+            schema_version: 4,
             alpha: alpha.to_string(),
+            pipeline: "run_centralized(CbtcConfig::all_applicable(5π/6)): grid build → grow → \
+                       shrink-back → symmetric closure → power-reducing pairwise removal"
+                .to_owned(),
             detected_cores: cores,
             base_seed: seed,
             sizes: rows,

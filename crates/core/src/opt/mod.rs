@@ -13,7 +13,9 @@ mod shrink_back;
 
 pub use asymmetric::asymmetric_removal;
 pub use pairwise::{
-    edge_id, node_floor_with, node_redundancy_with, pairwise_removal, pairwise_removal_with,
-    redundant_edges, EdgeId, PairwiseOutcome, PairwisePolicy,
+    edge_id, pairwise_removal, pairwise_removal_with, redundant_edges, EdgeId, PairwiseOutcome,
+    PairwisePolicy,
 };
+pub(crate) use pairwise::{PairwiseScratch, PairwiseState};
+pub(crate) use shrink_back::shrink_back_views;
 pub use shrink_back::{shrink_back, shrink_back_view};

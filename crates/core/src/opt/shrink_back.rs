@@ -13,8 +13,11 @@
 //! distributed protocol.
 
 use cbtc_geom::coverage::ArcSet;
+use cbtc_geom::{Alpha, Angle};
 
+use crate::parallel::par_map_with;
 use crate::view::{BasicOutcome, NodeView};
+use crate::PAR_MIN_CHUNK;
 
 /// Applies shrink-back to every node's view.
 ///
@@ -23,6 +26,14 @@ use crate::view::{BasicOutcome, NodeView};
 /// retained distance (for boundary nodes this is the §3.1 power saving; for
 /// non-boundary nodes under continuous growth nothing changes, since the
 /// final discovery is what completed coverage).
+///
+/// A node's shrink depends on its own view alone, so the nodes fan out
+/// over [`par_map_with`], each worker reusing one scratch —
+/// direction buffer, span buffer and both arc sets — for every prefix
+/// of every node it shrinks. Each coverage test is the same [`ArcSet`]
+/// arithmetic on the same direction slices as a fresh
+/// [`ArcSet::cover`], so the result is identical, view for view, to
+/// [`shrink_back_view`] applied node by node.
 ///
 /// # Example
 ///
@@ -46,27 +57,59 @@ use crate::view::{BasicOutcome, NodeView};
 /// assert_eq!(shrunk.view(NodeId::new(0)).grow_radius, 100.0);
 /// ```
 pub fn shrink_back(outcome: &BasicOutcome) -> BasicOutcome {
-    let alpha = outcome.alpha();
-    let views = outcome
-        .views()
-        .iter()
-        .map(|view| shrink_back_view(view, alpha))
-        .collect();
-    BasicOutcome::new(alpha, views)
+    BasicOutcome::new(
+        outcome.alpha(),
+        shrink_back_views(outcome.views(), outcome.alpha()),
+    )
+}
+
+/// The fan-out behind [`shrink_back`], over bare views — also how the
+/// incremental engine shrinks its initial construction.
+pub(crate) fn shrink_back_views(views: &[NodeView], alpha: Alpha) -> Vec<NodeView> {
+    par_map_with(
+        views,
+        PAR_MIN_CHUNK,
+        ShrinkScratch::default,
+        |scratch, view| shrink_view(view, alpha, scratch),
+    )
 }
 
 /// Shrink-back of a single node's view — the per-node kernel of
 /// [`shrink_back`], exposed so incremental reconfiguration can re-shrink
 /// only the nodes whose growth actually changed.
-pub fn shrink_back_view(view: &NodeView, alpha: cbtc_geom::Alpha) -> NodeView {
+pub fn shrink_back_view(view: &NodeView, alpha: Alpha) -> NodeView {
+    shrink_view(view, alpha, &mut ShrinkScratch::default())
+}
+
+/// Reusable buffers of the shrink-back kernel: every discovery's
+/// direction (each distance prefix is a slice of it), the span buffer
+/// [`ArcSet::assign_cover`] sorts, and the full and prefix covers.
+#[derive(Debug, Default)]
+struct ShrinkScratch {
+    dirs: Vec<Angle>,
+    spans: Vec<(f64, f64)>,
+    full: ArcSet,
+    prefix: ArcSet,
+}
+
+/// [`shrink_back_view`] over caller-owned buffers.
+fn shrink_view(view: &NodeView, alpha: Alpha, scratch: &mut ShrinkScratch) -> NodeView {
     if view.discoveries.is_empty() {
         return view.clone();
     }
-    let all_dirs = view.directions();
-    let full_cover = ArcSet::cover(&all_dirs, alpha);
+    let ShrinkScratch {
+        dirs,
+        spans,
+        full,
+        prefix,
+    } = scratch;
+    dirs.clear();
+    dirs.extend(view.discoveries.iter().map(|d| d.direction));
+    full.assign_cover(dirs, alpha, spans);
 
     // Walk distance groups from the nearest outward; stop at the first
-    // prefix whose coverage equals the full coverage.
+    // prefix whose coverage equals the full coverage. The whole view is
+    // never tested: it is kept whether or not the test would pass.
     let discoveries = &view.discoveries; // sorted by (distance, id)
     let mut keep = discoveries.len();
     let mut idx = 0;
@@ -76,8 +119,11 @@ pub fn shrink_back_view(view: &NodeView, alpha: cbtc_geom::Alpha) -> NodeView {
         while end < discoveries.len() && discoveries[end].distance == group_dist {
             end += 1;
         }
-        let prefix_dirs: Vec<_> = discoveries[..end].iter().map(|d| d.direction).collect();
-        if ArcSet::cover(&prefix_dirs, alpha).same_coverage(&full_cover) {
+        if end == discoveries.len() {
+            break;
+        }
+        prefix.assign_cover(&dirs[..end], alpha, spans);
+        if prefix.same_coverage(full) {
             keep = end;
             break;
         }

@@ -274,9 +274,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// Serializes the tests here that fan out: the installed metrics are
+    /// process-wide, so a concurrent test's workers would record into the
+    /// registry another test is asserting on.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn preserves_order_and_covers_all_items() {
+        let _serial = exclusive();
         let items: Vec<u32> = (0..1000).collect();
         let out = par_map(&items, 16, |&x| x + 1);
         assert_eq!(out, (1..=1000).collect::<Vec<u32>>());
@@ -296,6 +306,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_map() {
+        let _serial = exclusive();
         let items: Vec<u64> = (0..257).map(|i| i * 31).collect();
         let parallel = par_map(&items, 4, |&x| x.wrapping_mul(x) ^ 0xabcd);
         let sequential: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xabcd).collect();
@@ -304,6 +315,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline_and_stay_correct() {
+        let _serial = exclusive();
         let outer: Vec<u32> = (0..512).collect();
         let expected: Vec<u32> = outer.iter().map(|&x| x * 3).collect();
         // par_map inside par_map, and inside an explicit no-fan-out
@@ -319,6 +331,7 @@ mod tests {
 
     #[test]
     fn par_map_with_reuses_worker_state() {
+        let _serial = exclusive();
         // The per-worker buffer must not leak data between items: each
         // item clears and refills it, so results are order-exact.
         let items: Vec<u32> = (0..500).collect();
@@ -336,6 +349,7 @@ mod tests {
 
     #[test]
     fn thread_cap_clamps_planned_threads() {
+        let _serial = exclusive();
         assert!(detected_cores() >= 1);
         assert_eq!(planned_threads(0, 8), 1);
         assert_eq!(planned_threads(10_000, usize::MAX), 1);
@@ -357,6 +371,7 @@ mod tests {
 
     #[test]
     fn installed_metrics_observe_fan_outs_without_changing_results() {
+        let _serial = exclusive();
         let registry = MetricsRegistry::enabled();
         install_metrics(&registry);
         let items: Vec<u32> = (0..4096).collect();
@@ -389,6 +404,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker boom")]
     fn worker_panics_propagate() {
+        let _serial = exclusive();
         let items: Vec<u32> = (0..64).collect();
         let _ = par_map(&items, 1, |&x| {
             if x == 63 {

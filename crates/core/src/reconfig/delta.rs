@@ -48,10 +48,11 @@ use cbtc_trace::{TraceEvent, TraceHandle};
 use crate::centralized::{
     construction_grid, dead_view, grow_node_metric_scratch, grow_views, pairwise_step, GrowScratch,
 };
-use crate::opt::{node_floor_with, node_redundancy_with, shrink_back_view};
+use crate::opt::{
+    shrink_back_view, shrink_back_views, PairwisePolicy, PairwiseScratch, PairwiseState,
+};
 use crate::parallel::par_map_with;
-use crate::view::Discovery;
-use crate::view::NodeView;
+use crate::view::{graph_from_views, reverse_discoveries, Discovery, NodeView};
 use crate::CbtcConfig;
 
 #[cfg(test)]
@@ -139,77 +140,17 @@ pub fn graph_delta(before: &UndirectedGraph, after: &UndirectedGraph) -> Topolog
     delta
 }
 
-/// Per-node [`PairwisePolicy::PowerReducing`] state over the
-/// pre-pairwise graph. Both fields are functions of one node's adjacency
-/// plus the (current) geometry measured through the metric, which is
-/// exactly why pairwise removal can be re-derived for only the nodes
-/// whose neighborhoods or incident lengths changed.
-#[derive(Debug, Clone)]
-struct PairwiseState {
-    /// `redundant_from[u]` = [`node_redundancy_with`] at `u`.
-    redundant_from: Vec<BTreeSet<NodeId>>,
-    /// `floor[u]` = [`node_floor_with`] at `u`.
-    floor: Vec<f64>,
-}
-
-impl PairwiseState {
-    fn over<L>(graph: &UndirectedGraph, layout: &Layout, length: &L) -> Self
-    where
-        L: Fn(NodeId, NodeId) -> f64,
-    {
-        let redundant_from: Vec<BTreeSet<NodeId>> = graph
-            .node_ids()
-            .map(|u| node_redundancy_with(graph, layout, u, length))
-            .collect();
-        let floor = graph
-            .node_ids()
-            .map(|u| node_floor_with(graph, u, &redundant_from[u.index()], length))
-            .collect();
-        PairwiseState {
-            redundant_from,
-            floor,
-        }
-    }
-
-    fn refresh<L>(&mut self, graph: &UndirectedGraph, layout: &Layout, u: NodeId, length: &L)
-    where
-        L: Fn(NodeId, NodeId) -> f64,
-    {
-        self.redundant_from[u.index()] = node_redundancy_with(graph, layout, u, length);
-        self.floor[u.index()] = node_floor_with(graph, u, &self.redundant_from[u.index()], length);
-    }
-
-    /// Whether the power-reducing policy removes edge `{u, v}`.
-    fn drops<L>(&self, u: NodeId, v: NodeId, length: &L) -> bool
-    where
-        L: Fn(NodeId, NodeId) -> f64,
-    {
-        (self.redundant_from[u.index()].contains(&v) && length(u, v) > self.floor[u.index()])
-            || (self.redundant_from[v.index()].contains(&u) && length(v, u) > self.floor[v.index()])
-    }
-
-    /// The final graph this state judges `graph` down to: every edge the
-    /// policy does not [`drop`](PairwiseState::drops) — edge-for-edge
-    /// what [`crate::opt::pairwise_removal_with`] computes, from the
-    /// per-node sets already held here instead of a second pass.
-    fn prune<L>(&self, graph: &UndirectedGraph, length: &L) -> UndirectedGraph
-    where
-        L: Fn(NodeId, NodeId) -> f64,
-    {
-        UndirectedGraph::from_edges(
-            graph.node_count(),
-            graph.edges().filter(|&(u, v)| !self.drops(u, v, length)),
-        )
-    }
-}
-
 /// How the final graph is derived from the maintained pre-pairwise graph.
 #[derive(Debug, Clone)]
 enum FinalStage {
     /// No pairwise removal: the final graph *is* the pre-pairwise graph.
     Closure,
     /// §3.3 pairwise removal, re-judged locally at dirty nodes (sound on
-    /// the unit disk, where Theorem 3.6 needs no guard).
+    /// the unit disk, where Theorem 3.6 needs no guard): the
+    /// [`PairwisePolicy::PowerReducing`] drop sets over the pre-pairwise
+    /// graph, each a function of one node's adjacency plus the (current)
+    /// geometry measured through the metric — exactly why only the nodes
+    /// whose neighborhoods or incident lengths changed are re-derived.
     Pairwise(PairwiseState),
     /// §3.3 pairwise removal behind the union-find connectivity guard of
     /// a guarded [`crate::construct`]: the guard's restorations are
@@ -410,25 +351,20 @@ impl<M: LinkMetric> DeltaTopology<M> {
             Some(&active),
         );
         let effective: Vec<NodeView> = if config.shrink_back() {
-            basic
-                .iter()
-                .map(|v| shrink_back_view(v, config.alpha()))
-                .collect()
+            shrink_back_views(&basic, config.alpha())
         } else {
             Vec::new()
         };
-        let discovered_by_basic = reverse_discoveries(&basic);
-        let discovered_by = if config.shrink_back() {
-            reverse_discoveries(&effective)
-        } else {
-            Vec::new()
+        let reverse_basic = reverse_discoveries(&basic);
+        let reverse_effective = config
+            .shrink_back()
+            .then(|| reverse_discoveries(&effective));
+        let pre_pairwise = match &reverse_effective {
+            Some(reverse) => graph_from_views(&effective, reverse, config.asymmetric_removal()),
+            None => graph_from_views(&basic, &reverse_basic, config.asymmetric_removal()),
         };
-        let (eff_views, eff_reverse) = if config.shrink_back() {
-            (&effective, &discovered_by)
-        } else {
-            (&basic, &discovered_by_basic)
-        };
-        let pre_pairwise = graph_from_views(eff_views, eff_reverse, &config);
+        let discovered_by_basic = reverse_basic.into_lists();
+        let discovered_by = reverse_effective.map_or_else(Vec::new, |r| r.into_lists());
 
         let (stage, graph) = if !config.pairwise_removal() {
             (FinalStage::Closure, pre_pairwise.clone())
@@ -437,8 +373,13 @@ impl<M: LinkMetric> DeltaTopology<M> {
             (FinalStage::Guarded, outcome.graph)
         } else {
             let length = |a: NodeId, b: NodeId| metric.cost(a, b, layout.distance(a, b));
-            let state = PairwiseState::over(&pre_pairwise, &layout, &length);
-            let graph = state.prune(&pre_pairwise, &length);
+            let state = PairwiseState::over(
+                &pre_pairwise,
+                &layout,
+                &length,
+                PairwisePolicy::PowerReducing,
+            );
+            let graph = state.prune(&pre_pairwise);
             (FinalStage::Pairwise(state), graph)
         };
 
@@ -960,8 +901,9 @@ impl<M: LinkMetric> DeltaTopology<M> {
                 dirty.sort_unstable();
                 dirty.dedup();
                 let length = |a: NodeId, b: NodeId| metric.cost(a, b, layout.distance(a, b));
+                let mut scratch = PairwiseScratch::default();
                 for &x in &dirty {
-                    pairwise.refresh(pre_pairwise, layout, x, &length);
+                    pairwise.refresh(pre_pairwise, layout, x, &length, &mut scratch);
                 }
                 let old_rows: Vec<(NodeId, Vec<NodeId>)> = dirty
                     .iter()
@@ -975,7 +917,7 @@ impl<M: LinkMetric> DeltaTopology<M> {
                 for &x in &dirty {
                     let neighbors: Vec<NodeId> = pre_pairwise.neighbors(x).collect();
                     for v in neighbors {
-                        if !pairwise.drops(x, v, &length) {
+                        if !pairwise.drops(x, v) {
                             graph.add_edge(x, v);
                         }
                     }
@@ -1133,38 +1075,6 @@ fn ids_equal_minus_dead(old: &NodeView, new: &NodeView, is_dead: &[bool]) -> boo
         }
     }
     new_ids.next().is_none()
-}
-
-/// `reverse[x]` = sorted list of nodes whose view discovers `x`.
-fn reverse_discoveries(views: &[NodeView]) -> Vec<Vec<NodeId>> {
-    let mut reverse: Vec<Vec<NodeId>> = vec![Vec::new(); views.len()];
-    for (i, view) in views.iter().enumerate() {
-        let u = NodeId::new(i as u32);
-        for d in &view.discoveries {
-            reverse[d.id.index()].push(u);
-        }
-    }
-    for list in &mut reverse {
-        list.sort_unstable();
-    }
-    reverse
-}
-
-/// The symmetric closure (or, under op2, core) of the effective views.
-fn graph_from_views(
-    views: &[NodeView],
-    discovered_by: &[Vec<NodeId>],
-    config: &CbtcConfig,
-) -> UndirectedGraph {
-    let asymmetric = config.asymmetric_removal();
-    let edges = views.iter().enumerate().flat_map(|(i, view)| {
-        let u = NodeId::new(i as u32);
-        view.discoveries
-            .iter()
-            .filter(move |d| !asymmetric || discovered_by[i].binary_search(&d.id).is_ok())
-            .map(move |d| (u, d.id))
-    });
-    UndirectedGraph::from_edges(views.len(), edges)
 }
 
 fn insert_sorted(list: &mut Vec<NodeId>, v: NodeId) {

@@ -4,6 +4,9 @@ use cbtc_geom::{Alpha, Angle};
 use cbtc_graph::{DirectedGraph, NodeId, UndirectedGraph};
 use serde::{Deserialize, Serialize};
 
+use crate::parallel::par_map_with;
+use crate::PAR_MIN_CHUNK;
+
 /// One discovered neighbor, as known to the discovering node.
 ///
 /// `distance` is the *effective* distance: exact in the centralized
@@ -113,14 +116,14 @@ impl BasicOutcome {
 
     /// The symmetric closure `E_α` — the graph `G_α` of Theorem 2.1.
     pub fn symmetric_closure(&self) -> UndirectedGraph {
-        self.neighbor_relation().symmetric_closure()
+        graph_from_views(&self.views, &reverse_discoveries(&self.views), false)
     }
 
     /// The symmetric core `E⁻_α` of §3.2 (only connectivity-preserving for
     /// `α ≤ 2π/3`; see [`crate::opt::asymmetric_removal`] for the checked
     /// entry point).
     pub fn symmetric_core(&self) -> UndirectedGraph {
-        self.neighbor_relation().symmetric_core()
+        graph_from_views(&self.views, &reverse_discoveries(&self.views), true)
     }
 
     /// The growth radii `rad⁻_{u,α}` of all nodes.
@@ -146,6 +149,98 @@ impl BasicOutcome {
             .map(|(i, _)| NodeId::new(i as u32))
             .collect()
     }
+}
+
+/// One list of nodes per node, in two flat arrays: [`Self::of`]`(x)` is
+/// `x`'s list.
+#[derive(Debug)]
+pub(crate) struct NodeLists {
+    /// `ids[offsets[x]..offsets[x + 1]]` is `of(x)`.
+    offsets: Vec<usize>,
+    ids: Vec<NodeId>,
+}
+
+impl NodeLists {
+    /// Groups the `(key, value)` pairs `pairs()` yields by key, each list
+    /// in yield order — a counting sort: one pass counts, one fills.
+    /// `pairs` is called twice and must yield the same pairs both times.
+    pub(crate) fn by_key<I>(n: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (NodeId, NodeId)>,
+    {
+        let mut offsets = vec![0usize; n + 1];
+        for (key, _) in pairs() {
+            offsets[key.index() + 1] += 1;
+        }
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut ids = vec![NodeId::new(0); offsets[n]];
+        for (key, value) in pairs() {
+            let slot = &mut cursor[key.index()];
+            ids[*slot] = value;
+            *slot += 1;
+        }
+        NodeLists { offsets, ids }
+    }
+
+    /// `x`'s list.
+    pub(crate) fn of(&self, x: NodeId) -> &[NodeId] {
+        &self.ids[self.offsets[x.index()]..self.offsets[x.index() + 1]]
+    }
+
+    /// One owned list per node — the form the incremental engine edits.
+    pub(crate) fn into_lists(self) -> Vec<Vec<NodeId>> {
+        (0..self.offsets.len() - 1)
+            .map(|x| self.of(NodeId::new(x as u32)).to_vec())
+            .collect()
+    }
+}
+
+/// The reverse of the discovery relation: `of(x)` lists every node whose
+/// view discovers `x`, filled in discoverer order and so born sorted.
+pub(crate) fn reverse_discoveries(views: &[NodeView]) -> NodeLists {
+    NodeLists::by_key(views.len(), || {
+        views.iter().enumerate().flat_map(|(i, view)| {
+            let u = NodeId::new(i as u32);
+            view.discoveries.iter().map(move |d| (d.id, u))
+        })
+    })
+}
+
+/// The one closure/core builder, for [`BasicOutcome`] and the
+/// incremental engine alike: node `u`'s row is its discoveries united
+/// with (`core`: intersected with) the nodes that discovered it. Rows
+/// are built independently per node — one reused buffer per worker —
+/// and adopted as the adjacency in one bulk pass.
+pub(crate) fn graph_from_views(
+    views: &[NodeView],
+    reverse: &NodeLists,
+    core: bool,
+) -> UndirectedGraph {
+    let ids: Vec<NodeId> = (0..views.len() as u32).map(NodeId::new).collect();
+    let rows = par_map_with(
+        &ids,
+        PAR_MIN_CHUNK,
+        Vec::new,
+        |row: &mut Vec<NodeId>, &u| {
+            let discovered_by = reverse.of(u);
+            row.clear();
+            for d in &views[u.index()].discoveries {
+                if !core || discovered_by.binary_search(&d.id).is_ok() {
+                    row.push(d.id);
+                }
+            }
+            if !core {
+                row.extend_from_slice(discovered_by);
+            }
+            row.sort_unstable();
+            row.dedup();
+            row.to_vec()
+        },
+    );
+    UndirectedGraph::from_symmetric_rows(rows)
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
 //! Property tests of the construction engine: [`construct`] over every
 //! metric, mask and configuration must match the independent oracle
-//! *exactly* — the all-pairs [`run_basic_brute`] pushed through the plain
+//! *exactly* — the all-pairs [`run_basic_brute`] pushed through the
 //! public §3 stages — on layouts engineered to stress every tie-breaking
-//! and cell-boundary path.
+//! and cell-boundary path. Those stages are the engine's own kernels, so
+//! each has its own reference: the `DirectedGraph` closure/core and
+//! per-view shrink-back here, the all-pairs Definition 3.5 scan in
+//! `proptest_pairwise`.
 
-use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
+use cbtc_core::opt::{pairwise_removal, shrink_back, shrink_back_view, PairwisePolicy};
 use cbtc_core::parallel::without_nested_fan_out;
 use cbtc_core::phy::PhyChannel;
 use cbtc_core::reconfig::{GeometricMetric, LinkMetric};
@@ -240,6 +243,28 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The bulk §3 builders against their plain counterparts: the
+    /// closure and core built row by row from the views equal the
+    /// `DirectedGraph` relation's, and the fanned-out shrink-back (one
+    /// scratch reused across every node) equals shrinking each view
+    /// alone with fresh buffers.
+    #[test]
+    fn bulk_stages_match_per_node_references(layout in layouts()) {
+        let network = Network::with_paper_radio(layout);
+        for alpha in alphas() {
+            let basic = run_basic(&network, alpha);
+            let relation = basic.neighbor_relation();
+            prop_assert_eq!(basic.symmetric_closure(), relation.symmetric_closure());
+            prop_assert_eq!(basic.symmetric_core(), relation.symmetric_core());
+            let alone: Vec<NodeView> = basic
+                .views()
+                .iter()
+                .map(|view| shrink_back_view(view, alpha))
+                .collect();
+            prop_assert_eq!(shrink_back(&basic).views(), &alone[..]);
         }
     }
 

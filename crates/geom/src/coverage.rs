@@ -68,35 +68,66 @@ impl ArcSet {
     where
         I: IntoIterator<Item = (Angle, f64)>,
     {
-        let mut spans: Vec<(f64, f64)> = Vec::new();
-        for (start, width) in arcs {
-            if width <= 0.0 {
-                continue;
-            }
-            if width >= TAU - EPS {
-                return ArcSet::full_circle();
-            }
-            let s = start.radians();
-            spans.push((s, s + width));
-        }
-        Self::normalize(spans)
+        let mut set = ArcSet::empty();
+        set.assign_arcs(arcs, &mut Vec::new());
+        set
     }
 
     /// The paper's `coverα(dir)`: the union of closed arcs of width `α`
     /// centered at each direction in `dirs`.
     pub fn cover(dirs: &[Angle], alpha: Alpha) -> Self {
-        let half = alpha.half();
-        ArcSet::from_arcs(dirs.iter().map(|d| (d.rotated(-half), alpha.radians())))
+        let mut set = ArcSet::empty();
+        set.assign_cover(dirs, alpha, &mut Vec::new());
+        set
     }
 
-    fn normalize(mut spans: Vec<(f64, f64)>) -> Self {
+    /// Overwrites this set with [`ArcSet::cover`]`(dirs, alpha)` — the
+    /// same arithmetic, reusing this set's storage and the caller's span
+    /// buffer instead of allocating both, for loops that test many
+    /// covers (shrink-back walks one per distance prefix).
+    pub fn assign_cover(&mut self, dirs: &[Angle], alpha: Alpha, spans: &mut Vec<(f64, f64)>) {
+        let half = alpha.half();
+        self.assign_arcs(
+            dirs.iter().map(|d| (d.rotated(-half), alpha.radians())),
+            spans,
+        );
+    }
+
+    fn assign_arcs<I>(&mut self, arcs: I, spans: &mut Vec<(f64, f64)>)
+    where
+        I: IntoIterator<Item = (Angle, f64)>,
+    {
+        spans.clear();
+        for (start, width) in arcs {
+            if width <= 0.0 {
+                continue;
+            }
+            if width >= TAU - EPS {
+                self.set_full();
+                return;
+            }
+            let s = start.radians();
+            spans.push((s, s + width));
+        }
+        self.normalize(spans);
+    }
+
+    fn set_full(&mut self) {
+        self.arcs.clear();
+        self.full = true;
+    }
+
+    /// Sets this set to the union of `spans` (sorted in place).
+    fn normalize(&mut self, spans: &mut [(f64, f64)]) {
+        self.full = false;
+        let merged = &mut self.arcs;
+        merged.clear();
         if spans.is_empty() {
-            return ArcSet::empty();
+            return;
         }
         spans.sort_by(|a, b| a.0.total_cmp(&b.0));
         // Linear merge of overlapping or touching spans.
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-        for (s, e) in spans {
+        for &(s, e) in spans.iter() {
             match merged.last_mut() {
                 Some(last) if s <= last.1 + EPS => {
                     last.1 = last.1.max(e);
@@ -125,7 +156,8 @@ impl ArcSet {
                 if absorbed == last || reach + EPS >= merged[last].0 {
                     // Everything merged into one circuit: check fullness.
                     if reach + TAU + EPS >= merged[last].0 + TAU && merged[last].0 <= reach + EPS {
-                        return ArcSet::full_circle();
+                        self.set_full();
+                        return;
                     }
                 }
                 merged[last].1 = reach + TAU;
@@ -133,16 +165,13 @@ impl ArcSet {
                 // Re-check fullness: the remaining wrap arc may now span 2π.
                 let n = merged.len();
                 if n == 1 && merged[0].1 - merged[0].0 >= TAU - EPS {
-                    return ArcSet::full_circle();
+                    self.set_full();
+                    return;
                 }
             }
         }
         // Move a wrapping arc to the end if normalization reordered things.
         merged.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ArcSet {
-            arcs: merged,
-            full: false,
-        }
     }
 
     /// Whether this set is the full circle.

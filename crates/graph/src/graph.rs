@@ -102,6 +102,44 @@ impl UndirectedGraph {
         UndirectedGraph { adj }
     }
 
+    /// Adopts finished adjacency rows as the graph, without an
+    /// intermediate edge list: `rows[u]` becomes `u`'s neighbor list.
+    ///
+    /// For bulk builders that already know every node's complete,
+    /// symmetric neighborhood (the §3 stages compute each row
+    /// independently, one worker per chunk of nodes). Symmetry — `v ∈
+    /// rows[u]` iff `u ∈ rows[v]` — is the caller's contract and is
+    /// checked in debug builds only; the per-row invariants are always
+    /// checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not strictly sorted, holds its own node, or
+    /// names a node out of range.
+    pub fn from_symmetric_rows(rows: Vec<Vec<NodeId>>) -> Self {
+        let n = rows.len();
+        for (i, row) in rows.iter().enumerate() {
+            let u = NodeId::new(i as u32);
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "row of {u} must be strictly sorted"
+            );
+            if let Some(&v) = row.last() {
+                assert!(v.index() < n, "neighbor {v} out of range for {n} nodes");
+            }
+            assert!(row.binary_search(&u).is_err(), "self-loop {u} rejected");
+        }
+        debug_assert!(
+            rows.iter()
+                .enumerate()
+                .all(|(i, row)| row.iter().all(|v| rows[v.index()]
+                    .binary_search(&NodeId::new(i as u32))
+                    .is_ok())),
+            "rows must be symmetric"
+        );
+        UndirectedGraph { adj: rows }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
@@ -391,6 +429,23 @@ mod tests {
         }
         assert_eq!(bulk, incremental);
         assert_eq!(bulk.edge_count(), 3, "duplicate edge deduplicated");
+    }
+
+    #[test]
+    fn from_symmetric_rows_matches_from_edges() {
+        let pairs = vec![(n(3), n(1)), (n(1), n(2)), (n(0), n(2))];
+        let rows = vec![vec![n(2)], vec![n(2), n(3)], vec![n(0), n(1)], vec![n(1)]];
+        assert_eq!(
+            UndirectedGraph::from_symmetric_rows(rows),
+            UndirectedGraph::from_edges(4, pairs)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn from_symmetric_rows_rejects_unsorted_rows() {
+        let _ =
+            UndirectedGraph::from_symmetric_rows(vec![vec![n(2), n(1)], vec![n(0)], vec![n(0)]]);
     }
 
     #[test]
