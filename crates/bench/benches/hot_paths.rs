@@ -1,19 +1,21 @@
 //! Criterion micro-benchmarks of the hot paths: the α-gap test (batch
 //! and incremental), the spatial shell query, the centralized growing
-//! phase, the three optimizations, the baseline spanners, and a full
-//! distributed-protocol simulation.
+//! phase, the three optimizations, the baseline spanners, one routing
+//! tree, and a full distributed-protocol simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
 use cbtc_core::protocol::{CbtcNode, GrowthConfig};
+use cbtc_core::reconfig::routing::SpTree;
 use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
     grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
 };
 use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker};
 use cbtc_geom::{Alpha, Angle};
-use cbtc_graph::{spanners, SpatialGrid};
+use cbtc_graph::paths::{power_weight, shortest_path_tree, DijkstraScratch, Rows};
+use cbtc_graph::{spanners, NodeId, SpatialGrid};
 use cbtc_radio::{PathLoss, Power, PowerSchedule};
 use cbtc_sim::{Engine, FaultConfig};
 use cbtc_workloads::RandomPlacement;
@@ -229,6 +231,34 @@ fn bench_analysis(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_routing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("routing");
+    group.sample_size(20);
+    // The lifetime workload's tree: 1000 nodes at paper density,
+    // CBTC(5π/6) with every §3 optimization, priced at d².
+    let n = 1000usize;
+    let side = 1500.0 * (n as f64 / 100.0).sqrt();
+    let network = RandomPlacement::new(n, side, side, 500.0).generate(17);
+    let graph = run_centralized(&network, &CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS))
+        .into_final_graph();
+    let weight = power_weight(network.layout(), 2.0);
+    let rows: Vec<Vec<(NodeId, f64)>> = graph
+        .node_ids()
+        .map(|u| graph.neighbors(u).map(|v| (v, weight(u, v))).collect())
+        .collect();
+    let source = NodeId::new(0);
+    // Pre-priced rows with a reused heap: what each lifetime worker runs.
+    group.bench_function("row_kernel_1000", |b| {
+        let mut scratch = DijkstraScratch::default();
+        b.iter(|| shortest_path_tree(Rows(std::hint::black_box(&rows)), source, &mut scratch));
+    });
+    // Graph, weight closure and include mask, pricing every relaxation.
+    group.bench_function("sp_tree_compute_1000", |b| {
+        b.iter(|| SpTree::compute(std::hint::black_box(&graph), source, &weight, |_| true));
+    });
+    group.finish();
+}
+
 fn bench_distributed(c: &mut Criterion) {
     let mut group = c.benchmark_group("distributed_protocol");
     group.sample_size(10);
@@ -269,6 +299,7 @@ criterion_group!(
     bench_optimizations,
     bench_spanners,
     bench_analysis,
+    bench_routing,
     bench_distributed
 );
 criterion_main!(benches);

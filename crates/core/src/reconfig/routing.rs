@@ -13,13 +13,14 @@
 //!    orphan descendants);
 //! 2. no *removed* edge is one of its tree edges (removed non-tree edges
 //!    never won a relaxation, so their absence changes nothing);
-//! 3. no *added* edge offers any node a path at most as cheap as its
-//!    current one (strictly-worse additions never win a relaxation);
+//! 3. no *added* edge, priced in either direction, offers any node a
+//!    path at most as cheap as its current one (strictly-worse additions
+//!    never win a relaxation);
 //! 4. no *moved* node is reachable in it (when edge weights are
 //!    position-derived, motion under a reachable node reprices paths —
 //!    pass an empty `moved` slice when weights are position-free).
 
-use cbtc_graph::paths::dijkstra_tree;
+use cbtc_graph::paths::{dijkstra_tree, shortest_path_tree, Arcs, DijkstraScratch};
 use cbtc_graph::{NodeId, UndirectedGraph};
 
 use super::delta::TopologyDelta;
@@ -48,6 +49,14 @@ impl SpTree {
         SpTree { parent, dist }
     }
 
+    /// Computes the tree over any arc source — e.g. pre-priced
+    /// [`cbtc_graph::paths::Rows`] — reusing `scratch`'s heap. Same
+    /// kernel and settle rule as [`SpTree::compute`].
+    pub fn compute_on<A: Arcs>(arcs: A, source: NodeId, scratch: &mut DijkstraScratch) -> Self {
+        let (parent, dist) = shortest_path_tree(arcs, source, scratch);
+        SpTree { parent, dist }
+    }
+
     /// Whether `v` is reachable from the source in this tree.
     pub fn reaches(&self, v: NodeId) -> bool {
         self.dist[v.index()].is_finite()
@@ -56,7 +65,9 @@ impl SpTree {
 
 /// Whether a cached tree survives the change described by `dead`,
 /// `moved` and `delta` — the four keep rules above, with `weight`
-/// pricing the added edges at the *current* geometry.
+/// pricing the added edges at the *current* geometry. `weight(u, v)` is
+/// the arc `u → v`; the two directions of an added edge are priced
+/// separately, so directed weights are handled.
 ///
 /// When this returns `true`, a recomputation would reproduce the tree
 /// bit-for-bit, so keeping it leaves every downstream arithmetic
@@ -91,8 +102,7 @@ where
         if !da.is_finite() && !db.is_finite() {
             return false;
         }
-        let w = weight(a, b);
-        da + w <= db || db + w <= da
+        da + weight(a, b) <= db || db + weight(b, a) <= da
     });
     !improvable
 }
@@ -208,5 +218,37 @@ mod tests {
             added: vec![(n(2), n(3))],
         };
         assert!(!tree_reusable(&tree, &[], &[], &connects, |_, _| 10.0));
+    }
+
+    #[test]
+    fn improvable_check_prices_each_direction_of_an_added_edge() {
+        // Tree from 0 over 0–1, 1–2, 0–3 at unit weights: dist 2 at
+        // node 2, 1 at node 3.
+        let mut g = UndirectedGraph::new(4);
+        g.add_edge(n(0), n(1));
+        g.add_edge(n(1), n(2));
+        g.add_edge(n(0), n(3));
+        let tree = SpTree::compute(&g, n(0), |_, _| 1.0, |_| true);
+        assert_eq!(tree.parent[2], Some(n(1)));
+        // Add 2–3 with w(2→3) = 5 but w(3→2) = 0.5: reaching 2 through 3
+        // costs 1.5 < 2, so the tree is stale.
+        let directed = |u: NodeId, v: NodeId| match (u.raw(), v.raw()) {
+            (2, 3) => 5.0,
+            (3, 2) => 0.5,
+            _ => 1.0,
+        };
+        g.add_edge(n(2), n(3));
+        let recomputed = SpTree::compute(&g, n(0), directed, |_| true);
+        assert_eq!(recomputed.parent[2], Some(n(3)), "a recompute re-routes 2");
+        for added in [(n(2), n(3)), (n(3), n(2))] {
+            let delta = TopologyDelta {
+                removed: vec![],
+                added: vec![added],
+            };
+            assert!(
+                !tree_reusable(&tree, &[], &[], &delta, directed),
+                "added {added:?} improves node 2 in the 3 → 2 direction"
+            );
+        }
     }
 }

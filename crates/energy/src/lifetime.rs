@@ -19,27 +19,50 @@
 //!
 //! ## Steady-state and death-epoch costs
 //!
-//! The hot loop is engineered so that epochs without deaths do no
-//! per-node work beyond the drains themselves: per-edge transmission
-//! powers and hop costs are cached (`d(u,v)ⁿ` is priced once per edge per
-//! topology change, not once per packet-hop), routing trees persist per
-//! source, and the path walk reuses one buffer. Death epochs go through
-//! the builder's [`SurvivorTracker`] (the ideal-radio
-//! [`crate::SurvivorTopology`] or the phy tracker, both thin adapters
-//! over [`cbtc_core::reconfig::DeltaTopology`]): the topology is patched
-//! in place, and only the routing trees the change can actually affect —
-//! those reaching a dead node, using a removed tree edge, or improvable
-//! by an added edge — are recomputed. Both mechanisms are bit-for-bit
-//! equivalent to the rebuild-everything path
+//! Routing is nearly the whole cost of an epoch, so the hot loop keeps
+//! it cheap:
+//!
+//! * **Priced once.** Each node keeps a row of priced arcs to its alive
+//!   neighbours, in adjacency order: transmission power, routing weight
+//!   and expected attempts, priced once per topology change rather than
+//!   once per packet-hop. Routing trees are built straight from these
+//!   rows by the one Dijkstra kernel in [`cbtc_graph::paths`], with no
+//!   per-relaxation lookup or alive check.
+//! * **Built once per source, fanned out per epoch.** Routing trees
+//!   persist per source. After an epoch's flows are drawn, the distinct
+//!   senders without a tree get theirs, computed in parallel
+//!   ([`cbtc_core::parallel::par_map_with`], one reused heap per worker)
+//!   before the first packet moves. Inside a caller's own fan-out (the
+//!   multi-seed runner) this runs inline. The packet loop only walks
+//!   cached trees, reusing one path buffer.
+//! * **Death epochs patch, not rebuild.** Deaths go through the
+//!   builder's [`SurvivorTracker`] (the ideal-radio
+//!   [`crate::SurvivorTopology`] or the phy tracker, both thin adapters
+//!   over [`cbtc_core::reconfig::DeltaTopology`]): the topology is
+//!   patched in place, only the rows the edge delta touches are
+//!   re-priced, and only the routing trees the change can actually
+//!   affect — those reaching a dead node, using a removed tree edge, or
+//!   improvable by an added edge in either direction — are dropped, to
+//!   be rebuilt when their source next sends. In a connected network a
+//!   death reaches every tree, so the epoch after a death rebuilds one
+//!   tree per sender; that burst is what the fan-out spreads over the
+//!   cores.
+//!
+//! Topology, prices and the alive mask are fixed while packets move, so
+//! building the trees up front and in parallel reproduces the lazy,
+//! sequential order bit for bit. Both death-epoch mechanisms are
+//! bit-for-bit equivalent to the rebuild-everything path
 //! (`LifetimeConfig { incremental: false, .. }`), which the equivalence
 //! tests replay against.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use cbtc_core::parallel::par_map_with;
 use cbtc_core::reconfig::graph_delta;
 use cbtc_core::reconfig::routing::{tree_reusable, SpTree};
 use cbtc_core::Network;
+use cbtc_graph::paths::{DijkstraScratch, Rows, WeightedArc};
 use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use cbtc_radio::{PathLoss, Power, PowerBasis};
@@ -48,7 +71,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::builder::SurvivorTracker;
 use crate::{
-    Battery, EnergyLedger, EnergyModel, FlowGenerator, IdealLinks, LinkReliability,
+    Battery, EnergyLedger, EnergyModel, Flow, FlowGenerator, IdealLinks, LinkReliability,
     TopologyBuilder, TopologyDelta, TopologyPolicy, TrafficPattern,
 };
 
@@ -163,9 +186,20 @@ impl LifetimeReport {
     }
 }
 
+/// Smallest slice of an epoch's missing trees worth a worker thread: 16
+/// trees of a 1000-node network are about a millisecond of work
+/// (`hot_paths`' `routing/row_kernel_1000`), far above a thread spawn.
+const ROUTE_MIN_CHUNK: usize = 16;
+
 /// Minimum-energy routing state: one shortest-path tree per source,
-/// computed lazily the first time the source sends and kept until a
-/// topology change that can actually affect it.
+/// built the first time the source sends and kept until a topology
+/// change that can actually affect it.
+///
+/// Each epoch, before any packet moves, [`RoutingTable::install_missing`]
+/// builds the trees of that epoch's senders that have none, fanned out
+/// over the cores. The packet loop then only walks cached trees. Traffic
+/// changes neither the topology, the prices nor the alive mask, so a tree
+/// built up front is bit for bit the one the packet would have built.
 #[derive(Debug, Clone, Default)]
 struct RoutingTable {
     trees: Vec<Option<SpTree>>,
@@ -177,20 +211,40 @@ impl RoutingTable {
         self.trees.resize(n, None);
     }
 
+    /// Builds and installs the tree of every sender in `flows` that has
+    /// none, routing on the priced `rows` (each row holds exactly its
+    /// node's alive neighbours, in adjacency order, with their directed
+    /// weights). One heap per worker.
+    fn install_missing(&mut self, flows: &[Flow], rows: &[Vec<PricedArc>]) {
+        let mut missing: Vec<NodeId> = flows
+            .iter()
+            .map(|f| f.src)
+            .filter(|s| self.trees[s.index()].is_none())
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        let built = par_map_with(
+            &missing,
+            ROUTE_MIN_CHUNK,
+            DijkstraScratch::default,
+            |scratch, &s| SpTree::compute_on(Rows(rows), s, scratch),
+        );
+        for (s, tree) in missing.into_iter().zip(built) {
+            self.trees[s.index()] = Some(tree);
+        }
+    }
+
     /// Writes the node path `src → … → dst` into `out`; returns `false`
     /// (leaving `out` in an unspecified state) when unreachable.
-    fn path_into<F>(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        compute_tree: F,
-        out: &mut Vec<NodeId>,
-    ) -> bool
-    where
-        F: FnOnce(NodeId) -> SpTree,
-    {
-        let slot = &mut self.trees[src.index()];
-        let tree = slot.get_or_insert_with(|| compute_tree(src));
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` has no tree: [`RoutingTable::install_missing`]
+    /// must have run for this epoch's flows.
+    fn path_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) -> bool {
+        let tree = self.trees[src.index()]
+            .as_ref()
+            .expect("the epoch's trees are installed before the packet loop");
         out.clear();
         out.push(dst);
         let mut cursor = dst;
@@ -279,24 +333,41 @@ fn lap(start: &mut Instant) -> u64 {
     nanos
 }
 
-/// Looks up the cached `(tx power, routing weight, expected attempts)` of
-/// edge `{u, v}` in `u`'s row. The weight is the attempt-scaled hop cost
-/// (with ideal links, attempts is exactly `1.0` and the weight is exactly
-/// the hop cost).
+/// One priced arc of a node's cost row.
+#[derive(Debug, Clone, Copy)]
+struct PricedArc {
+    /// The neighbour the hop reaches.
+    to: NodeId,
+    /// The hop's transmission power.
+    tx: Power,
+    /// The routing weight: the attempt-scaled hop cost (with ideal links,
+    /// attempts is exactly `1.0` and the weight is exactly the hop cost).
+    weight: f64,
+    /// Expected transmission attempts (ARQ).
+    attempts: f64,
+}
+
+impl WeightedArc for PricedArc {
+    fn head(&self) -> NodeId {
+        self.to
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight
+    }
+}
+
+/// Looks up the priced arc `u → v` in `u`'s row.
 ///
 /// # Panics
 ///
 /// Panics when the edge is not priced — i.e. not in the current topology.
-fn edge_cost(
-    edge_costs: &[Vec<(NodeId, Power, f64, f64)>],
-    u: NodeId,
-    v: NodeId,
-) -> (Power, f64, f64) {
+fn edge_cost(edge_costs: &[Vec<PricedArc>], u: NodeId, v: NodeId) -> PricedArc {
     let row = &edge_costs[u.index()];
     let i = row
-        .binary_search_by_key(&v, |e| e.0)
+        .binary_search_by_key(&v, |e| e.to)
         .expect("edge is in the topology and therefore priced");
-    (row[i].1, row[i].2, row[i].3)
+    row[i]
 }
 
 /// A deterministic packet-level battery simulation over one network and
@@ -346,10 +417,10 @@ pub struct LifetimeSim {
     /// supplies a [`SurvivorTracker`]).
     reconfig: Option<Box<dyn SurvivorTracker>>,
     routes: RoutingTable,
-    /// Per-edge `(neighbor, tx power, routing weight, attempts)` rows
-    /// mirroring `topology`'s adjacency, so the packet loop never
-    /// re-prices a link.
-    edge_costs: Vec<Vec<(NodeId, Power, f64, f64)>>,
+    /// Per-node rows of priced arcs to the alive neighbours, in
+    /// `topology`'s adjacency order: the routing kernel's arc source,
+    /// so neither routing nor the packet loop ever re-prices a link.
+    edge_costs: Vec<Vec<PricedArc>>,
     /// Scratch buffer for the per-packet path walk.
     path_buf: Vec<NodeId>,
     /// Scratch buffer for the per-epoch flow draw.
@@ -592,31 +663,20 @@ impl LifetimeSim {
             self.config.packets_per_epoch,
             &mut flow_buf,
         );
+        self.routes.install_missing(&flow_buf, &self.edge_costs);
         let mut path_buf = std::mem::take(&mut self.path_buf);
         for &flow in &flow_buf {
-            let topology = self.reconfig.as_ref().map_or(&self.topology, |t| t.graph());
-            let alive = &self.alive;
-            let edge_costs = &self.edge_costs;
-            let routed = self.routes.path_into(
-                flow.src,
-                flow.dst,
-                |s| {
-                    SpTree::compute(
-                        topology,
-                        s,
-                        |u, v| edge_cost(edge_costs, u, v).1,
-                        |v| alive[v.index()],
-                    )
-                },
-                &mut path_buf,
-            );
-            if !routed {
+            if !self.routes.path_into(flow.src, flow.dst, &mut path_buf) {
                 dropped += 1;
                 continue;
             }
             for hop in path_buf.windows(2) {
                 let (u, v) = (hop[0], hop[1]);
-                let (tx_power, _, attempts) = edge_cost(&self.edge_costs, u, v);
+                let PricedArc {
+                    tx: tx_power,
+                    attempts,
+                    ..
+                } = edge_cost(&self.edge_costs, u, v);
                 // ARQ: lossy links retransmit; sender and receiver both
                 // pay per attempt. With ideal links `attempts` is the
                 // literal 1.0 and the products are bit-exact.
@@ -850,7 +910,7 @@ impl LifetimeSim {
         }
         let edge_costs = &self.edge_costs;
         self.routes
-            .invalidate_after(newly_dead, delta, |u, v| edge_cost(edge_costs, u, v).1);
+            .invalidate_after(newly_dead, delta, |u, v| edge_cost(edge_costs, u, v).weight);
     }
 
     /// Rebuilds node `u`'s cached edge-cost row and maintenance radius
@@ -885,7 +945,12 @@ impl LifetimeSim {
                     .hop_tx_power(&model, pd, power_control)
                     .min(model.max_power());
                 let attempts = reliability.attempts(u, v, tx, d);
-                row.push((v, tx, attempts * energy.hop_cost(tx), attempts));
+                row.push(PricedArc {
+                    to: v,
+                    tx,
+                    weight: attempts * energy.hop_cost(tx),
+                    attempts,
+                });
                 farthest = Some(farthest.map_or(pd, |a| a.max(pd)));
             } else {
                 let tx = energy.hop_tx_power(&model, d, power_control);
@@ -893,7 +958,12 @@ impl LifetimeSim {
                 // their retransmission factor in the weight, so the router
                 // prefers reliable links. Ideal links multiply by exactly 1.
                 let attempts = reliability.attempts(u, v, tx, d);
-                row.push((v, tx, attempts * energy.hop_cost(tx), attempts));
+                row.push(PricedArc {
+                    to: v,
+                    tx,
+                    weight: attempts * energy.hop_cost(tx),
+                    attempts,
+                });
                 farthest = Some(farthest.map_or(d, |a| a.max(d)));
             }
         }
@@ -930,7 +1000,7 @@ impl LifetimeSim {
         for u in 0..self.network.len() as u32 {
             self.refresh_node_costs_and_radius(NodeId::new(u));
         }
-        // Shortest-path trees are computed per source on first use.
+        // Shortest-path trees are built per source when it first sends.
         self.routes.reset(self.network.len());
     }
 

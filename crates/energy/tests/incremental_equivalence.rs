@@ -14,7 +14,8 @@ use cbtc_energy::{
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId};
-use cbtc_phy::PhyProfile;
+use cbtc_phy::{PhyProfile, ShadowingMode};
+use cbtc_radio::PowerBasis;
 use proptest::prelude::*;
 
 fn policies() -> Vec<TopologyPolicy> {
@@ -150,6 +151,12 @@ fn lifetime_sim_is_bitwise_equal_across_paths() {
 /// same milestones, same drains, same delivered counts, same
 /// everything. (The σ = 0 ideal profile is additionally pinned to the
 /// ideal experiment by the in-crate phy tests.)
+///
+/// Under per-direction shadowing the routing rows are directed: the
+/// expected attempts (and, on the measured basis, the priced distance)
+/// read the gain of the hop's own direction. Both shadowing modes run on
+/// both pricing bases, so the selective tree invalidation is checked
+/// against directed weights end to end.
 #[test]
 fn phy_lifetime_sim_is_bitwise_equal_across_paths() {
     let mut pts = Vec::new();
@@ -164,35 +171,46 @@ fn phy_lifetime_sim_is_bitwise_equal_across_paths() {
         pts.push(Point2::new(next() * 900.0, next() * 900.0));
     }
     let network = Network::with_paper_radio(Layout::new(pts));
-    let incremental = LifetimeConfig {
+    let mut incremental = LifetimeConfig {
         initial_energy: 150_000.0,
         packets_per_epoch: 20,
         max_epochs: 3_000,
         ..LifetimeConfig::paper_default()
     };
-    let full = LifetimeConfig {
-        incremental: false,
-        ..incremental
-    };
     let mut profile = PhyProfile::shadowed(6.0, 11);
     profile.prr = cbtc_phy::PrrCurve::paper_transition();
-    for policy in policies() {
-        for seed in [3u64, 17] {
-            let run = |config: LifetimeConfig| {
-                let links = PhyLinks::new(*network.model(), &profile);
-                LifetimeSim::with_builder(
-                    network.clone(),
-                    Arc::new(PhyPolicy::geometric(policy, profile)),
-                    Arc::new(links),
-                    config,
-                    seed,
-                )
-                .run()
+    for mode in [ShadowingMode::Reciprocal, ShadowingMode::Independent] {
+        for basis in [PowerBasis::Geometric, PowerBasis::Measured] {
+            profile.shadowing_mode = mode;
+            incremental.energy.power_basis = basis;
+            let full = LifetimeConfig {
+                incremental: false,
+                ..incremental
             };
-            let a = run(incremental);
-            let b = run(full);
-            assert_eq!(a, b, "phy policy {} seed {seed}", policy.label());
-            assert!(a.first_death.is_some(), "the run must exercise deaths");
+            for policy in policies() {
+                for seed in [3u64, 17] {
+                    let run = |config: LifetimeConfig| {
+                        let links = PhyLinks::new(*network.model(), &profile);
+                        LifetimeSim::with_builder(
+                            network.clone(),
+                            Arc::new(PhyPolicy {
+                                policy,
+                                profile,
+                                basis,
+                            }),
+                            Arc::new(links),
+                            config,
+                            seed,
+                        )
+                        .run()
+                    };
+                    let a = run(incremental);
+                    let b = run(full);
+                    let label = policy.label();
+                    assert_eq!(a, b, "phy policy {label} seed {seed}, {mode:?} {basis:?}");
+                    assert!(a.first_death.is_some(), "the run must exercise deaths");
+                }
+            }
         }
     }
 }

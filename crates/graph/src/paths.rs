@@ -5,40 +5,179 @@
 //! `G_R`. These helpers compute exact *power stretch* and *hop stretch*
 //! factors of a subgraph so the claim can be measured on simulated
 //! networks.
+//!
+//! Every shortest-path function here is a thin caller of one kernel,
+//! [`shortest_path_tree`], generic over where it reads arcs from
+//! ([`Arcs`]): a graph with weight and include closures
+//! ([`GraphArcs`]), or pre-priced adjacency rows ([`Rows`]), which is
+//! how the lifetime engine routes.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::{Layout, NodeId, UndirectedGraph};
 
-/// Max-heap entry ordered by minimal cost (reversed for the binary heap).
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: NodeId,
+/// Where the shortest-path kernel ([`shortest_path_tree`]) reads a node's
+/// out-arcs from.
+///
+/// The kernel is generic over this trait and monomorphized per arc
+/// source, so relaxing an arc is a direct, inlinable call — never a `dyn`
+/// call.
+pub trait Arcs {
+    /// Number of nodes: the length of the kernel's output arrays.
+    fn node_count(&self) -> usize;
+
+    /// Calls `relax(v, w)` for every arc `u → v` of weight `w ≥ 0` the
+    /// kernel may use, in a fixed order.
+    fn for_each_arc<R: FnMut(NodeId, f64)>(&mut self, u: NodeId, relax: R);
 }
 
-impl Eq for HeapEntry {}
+/// The arcs of an undirected graph priced by `weight`, restricted to
+/// heads accepted by `include` (checked before `weight` is called). The
+/// source itself is always included.
+pub struct GraphArcs<'g, W, F> {
+    /// The graph whose edges are the arcs (both directions).
+    pub graph: &'g UndirectedGraph,
+    /// The weight of arc `u → v`.
+    pub weight: W,
+    /// Whether a node may be entered at all.
+    pub include: F,
+}
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smallest cost first. Costs are finite, ties by node ID
-        // for determinism.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
+impl<W, F> Arcs for GraphArcs<'_, W, F>
+where
+    W: FnMut(NodeId, NodeId) -> f64,
+    F: FnMut(NodeId) -> bool,
+{
+    fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    fn for_each_arc<R: FnMut(NodeId, f64)>(&mut self, u: NodeId, mut relax: R) {
+        for v in self.graph.neighbors(u) {
+            if (self.include)(v) {
+                relax(v, (self.weight)(u, v));
+            }
+        }
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// One entry of an adjacency row ([`Rows`]): an out-arc's head and its
+/// weight.
+pub trait WeightedArc {
+    /// The node the arc enters.
+    fn head(&self) -> NodeId;
+    /// The arc's non-negative weight.
+    fn weight(&self) -> f64;
+}
+
+impl WeightedArc for (NodeId, f64) {
+    fn head(&self) -> NodeId {
+        self.0
     }
+
+    fn weight(&self) -> f64 {
+        self.1
+    }
+}
+
+/// Pre-priced adjacency rows: `rows[u]` lists exactly the arcs leaving
+/// `u`, in relaxation order. Rows may be directed (`w(u→v) ≠ w(v→u)`).
+#[derive(Debug)]
+pub struct Rows<'r, T>(pub &'r [Vec<T>]);
+
+impl<T: WeightedArc> Arcs for Rows<'_, T> {
+    fn node_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn for_each_arc<R: FnMut(NodeId, f64)>(&mut self, u: NodeId, mut relax: R) {
+        for arc in &self.0[u.index()] {
+            relax(arc.head(), arc.weight());
+        }
+    }
+}
+
+/// The kernel's reusable priority queue. A caller computing many trees
+/// (one per worker of a fan-out) passes the same scratch to every call,
+/// so the heap's buffer is allocated once.
+#[derive(Debug, Clone, Default)]
+pub struct DijkstraScratch {
+    /// Min-heap of `(cost bits, node)`.
+    heap: BinaryHeap<Reverse<(u64, NodeId)>>,
+}
+
+/// The single-source shortest-path kernel: each node's predecessor on
+/// its cheapest path from `source` (`None` for the source and for
+/// unreachable nodes) and that path's cost (`f64::INFINITY` when
+/// unreachable).
+///
+/// # Settle rule
+///
+/// Nodes settle in increasing `(dist, id)` order: cost first, node ID
+/// breaking ties. A settled node `u` relaxes its arcs in the order
+/// [`Arcs::for_each_arc`] yields them, and an arc `u → v` wins only when
+/// `dist[u] + w` is *strictly* below `v`'s current cost. So `v`'s
+/// parent is the first-settled neighbour among those minimizing
+/// `dist[u] + w(u→v)` (for one neighbour with parallel arcs, the first
+/// such arc).
+///
+/// The heap key is the integer pair `(dist.to_bits(), id)`. Costs are
+/// non-negative, and for non-negative `f64` the bit pattern orders
+/// exactly like `total_cmp`, so the pop order — and with it every parent
+/// choice — is the one a float-keyed heap would produce.
+///
+/// # Example
+///
+/// ```
+/// use cbtc_graph::paths::{shortest_path_tree, DijkstraScratch, Rows};
+/// use cbtc_graph::NodeId;
+///
+/// // Directed rows: 0 → 1 costs 1, 1 → 2 costs 1, 0 → 2 costs 5.
+/// let n = NodeId::new;
+/// let rows = vec![
+///     vec![(n(1), 1.0), (n(2), 5.0)],
+///     vec![(n(0), 1.0), (n(2), 1.0)],
+///     vec![(n(0), 5.0), (n(1), 1.0)],
+/// ];
+/// let mut scratch = DijkstraScratch::default();
+/// let (parent, dist) = shortest_path_tree(Rows(&rows), n(0), &mut scratch);
+/// assert_eq!(parent[2], Some(n(1)));
+/// assert_eq!(dist[2], 2.0);
+/// ```
+pub fn shortest_path_tree<A: Arcs>(
+    mut arcs: A,
+    source: NodeId,
+    scratch: &mut DijkstraScratch,
+) -> (Vec<Option<NodeId>>, Vec<f64>) {
+    let n = arcs.node_count();
+    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
+    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let heap = &mut scratch.heap;
+    heap.clear();
+    dist[source.index()] = 0.0;
+    heap.push(Reverse((0.0f64.to_bits(), source)));
+    while let Some(Reverse((bits, u))) = heap.pop() {
+        if bits > dist[u.index()].to_bits() {
+            continue; // stale entry
+        }
+        let cost = f64::from_bits(bits);
+        arcs.for_each_arc(u, |v, w| {
+            debug_assert!(w >= 0.0, "negative edge weight");
+            let next = cost + w;
+            if next < dist[v.index()] {
+                dist[v.index()] = next;
+                parent[v.index()] = Some(u);
+                heap.push(Reverse((next.to_bits(), v)));
+            }
+        });
+    }
+    (parent, dist)
 }
 
 /// Single-source shortest path costs under an arbitrary non-negative edge
-/// weight. Unreachable nodes get `None`.
+/// weight. Unreachable nodes (and nodes reachable only at infinite cost)
+/// get `None`.
 ///
 /// # Example
 ///
@@ -51,35 +190,14 @@ impl PartialOrd for HeapEntry {
 /// let cost = dijkstra(&g, NodeId::new(0), |_, _| 2.0);
 /// assert_eq!(cost[2], Some(4.0));
 /// ```
-pub fn dijkstra<W>(g: &UndirectedGraph, source: NodeId, mut weight: W) -> Vec<Option<f64>>
+pub fn dijkstra<W>(g: &UndirectedGraph, source: NodeId, weight: W) -> Vec<Option<f64>>
 where
     W: FnMut(NodeId, NodeId) -> f64,
 {
-    let mut dist: Vec<Option<f64>> = vec![None; g.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = Some(0.0);
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if dist[node.index()].is_some_and(|d| cost > d) {
-            continue; // stale entry
-        }
-        for v in g.neighbors(node) {
-            let w = weight(node, v);
-            debug_assert!(w >= 0.0, "negative edge weight");
-            let next = cost + w;
-            if dist[v.index()].is_none_or(|d| next < d) {
-                dist[v.index()] = Some(next);
-                heap.push(HeapEntry {
-                    cost: next,
-                    node: v,
-                });
-            }
-        }
-    }
-    dist
+    let (_, dist) = dijkstra_tree(g, source, weight, |_| true);
+    dist.into_iter()
+        .map(|d| d.is_finite().then_some(d))
+        .collect()
 }
 
 /// Single-source shortest-path **tree** under an arbitrary non-negative
@@ -89,8 +207,8 @@ where
 ///
 /// The `include` predicate lets callers route over an induced subgraph —
 /// e.g. the still-alive nodes of a lifetime simulation — without
-/// materializing it. Ties are broken by node ID, so the tree is
-/// deterministic.
+/// materializing it. Ties follow [`shortest_path_tree`]'s settle rule,
+/// so the tree is deterministic.
 ///
 /// # Example
 ///
@@ -124,46 +242,21 @@ where
 /// topology change can affect a cached tree is decided by comparing the
 /// change's endpoints' costs, without recomputing the tree.
 pub fn dijkstra_tree<W, F>(
-    g: &UndirectedGraph,
+    graph: &UndirectedGraph,
     source: NodeId,
-    mut weight: W,
-    mut include: F,
+    weight: W,
+    include: F,
 ) -> (Vec<Option<NodeId>>, Vec<f64>)
 where
     W: FnMut(NodeId, NodeId) -> f64,
     F: FnMut(NodeId) -> bool,
 {
-    let n = g.node_count();
-    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if cost > dist[node.index()] {
-            continue; // stale entry
-        }
-        for v in g.neighbors(node) {
-            if !include(v) {
-                continue;
-            }
-            let w = weight(node, v);
-            debug_assert!(w >= 0.0, "negative edge weight");
-            let next = cost + w;
-            if next < dist[v.index()] {
-                dist[v.index()] = next;
-                parent[v.index()] = Some(node);
-                heap.push(HeapEntry {
-                    cost: next,
-                    node: v,
-                });
-            }
-        }
-    }
-    (parent, dist)
+    let arcs = GraphArcs {
+        graph,
+        weight,
+        include,
+    };
+    shortest_path_tree(arcs, source, &mut DijkstraScratch::default())
 }
 
 /// The *power cost* of routing along an edge: `d(u,v)ⁿ` for path-loss
