@@ -1,21 +1,24 @@
 //! Criterion micro-benchmarks of the hot paths: the α-gap test (batch
 //! and incremental), the spatial shell query, the centralized growing
-//! phase, the three optimizations, the baseline spanners, one routing
-//! tree, and a full distributed-protocol simulation.
+//! phase (geometric, and shadowed with and without its per-ring
+//! admission screen), the three optimizations, the baseline spanners,
+//! one routing tree, and a full distributed-protocol simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
+use cbtc_core::phy::{AckGatedChannel, PhyChannel};
 use cbtc_core::protocol::{CbtcNode, GrowthConfig};
 use cbtc_core::reconfig::routing::SpTree;
-use cbtc_core::reconfig::GeometricMetric;
+use cbtc_core::reconfig::{GeometricMetric, LinkMetric};
 use cbtc_core::{
-    grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
+    grow, grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
 };
 use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker};
 use cbtc_geom::{Alpha, Angle};
 use cbtc_graph::paths::{power_weight, shortest_path_tree, DijkstraScratch, Rows};
-use cbtc_graph::{spanners, NodeId, SpatialGrid};
+use cbtc_graph::{spanners, Layout, NodeId, RingIndex, SpatialGrid};
+use cbtc_phy::{Shadowing, ShadowingMode};
 use cbtc_radio::{PathLoss, Power, PowerSchedule};
 use cbtc_sim::{Engine, FaultConfig};
 use cbtc_workloads::RandomPlacement;
@@ -108,6 +111,59 @@ fn bench_grow_node_scratch(c: &mut Criterion) {
                     .len()
                 })
                 .sum::<usize>()
+        });
+    });
+    group.finish();
+}
+
+/// A metric with its admission screen taken off: it forwards `cost`,
+/// `reach_boost` and `direction` only, so every candidate is priced.
+struct Unscreened<'m, M>(&'m M);
+
+impl<M: LinkMetric> LinkMetric for Unscreened<'_, M> {
+    fn cost(&self, u: NodeId, v: NodeId, d: f64) -> f64 {
+        self.0.cost(u, v, d)
+    }
+
+    fn reach_boost(&self) -> f64 {
+        self.0.reach_boost()
+    }
+
+    fn direction(&self, layout: &Layout, u: NodeId, v: NodeId) -> Angle {
+        self.0.direction(layout, u, v)
+    }
+}
+
+fn bench_phy_grow(c: &mut Criterion) {
+    let mut group = c.benchmark_group("phy_grow");
+    group.sample_size(10);
+    // The construct_phy grow at 2k nodes: paper density, σ = 8 dB
+    // per-direction shadowing, ack-gated — with the per-ring screen and
+    // with every candidate priced (the same views either way).
+    let n = 2000usize;
+    let side = 1500.0 * (n as f64 / 100.0).sqrt();
+    let network = RandomPlacement::new(n, side, side, 500.0).generate(1);
+    let shadowing = Shadowing::new(8.0, ShadowingMode::Independent, 1);
+    let channel = PhyChannel::new(network.model(), &shadowing);
+    let gated = AckGatedChannel::new(&channel, network.max_range());
+    group.bench_function("screened_2k", |b| {
+        b.iter(|| {
+            grow(
+                std::hint::black_box(&network),
+                &gated,
+                Alpha::FIVE_PI_SIXTHS,
+                None,
+            )
+        });
+    });
+    group.bench_function("unscreened_2k", |b| {
+        b.iter(|| {
+            grow(
+                std::hint::black_box(&network),
+                &Unscreened(&gated),
+                Alpha::FIVE_PI_SIXTHS,
+                None,
+            )
         });
     });
     group.finish();
@@ -294,6 +350,7 @@ criterion_group!(
     bench_gap_detection,
     bench_gap_tracker,
     bench_grow_node_scratch,
+    bench_phy_grow,
     bench_shell_query,
     bench_centralized,
     bench_optimizations,

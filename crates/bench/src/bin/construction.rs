@@ -42,12 +42,12 @@ use cbtc_core::parallel::{
 };
 use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
-    construction_cell, optimize, run_basic, run_basic_brute, run_centralized, CbtcConfig, CbtcRun,
+    construction_index, optimize, run_basic, run_basic_brute, run_centralized, CbtcConfig, CbtcRun,
     Network, PAR_MIN_CHUNK,
 };
 use cbtc_energy::{SurvivorTopology, SurvivorTracker, TopologyPolicy};
 use cbtc_geom::Alpha;
-use cbtc_graph::{NodeId, SpatialGrid, UndirectedGraph};
+use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_metrics::MetricsRegistry;
 use cbtc_workloads::RandomPlacement;
 use serde::Serialize;
@@ -57,6 +57,8 @@ use serde::Serialize;
 /// The phases tile `total`, that run's end-to-end wall time (asserted).
 #[derive(Debug, Serialize)]
 struct PhaseSeconds {
+    /// The construction index `run_basic` grows over: the dense cell
+    /// list, or its hashed-grid fallback on a sparse layout.
     grid_build: f64,
     grow: f64,
     shrink_back: f64,
@@ -215,9 +217,11 @@ fn paper_density_network(nodes: usize, seed: u64) -> (Network, f64) {
 }
 
 /// The pipeline of `run_centralized` composed from its public stages,
-/// each timed, in one run. The grid build is timed on an identical grid
-/// built just before the run; `run_basic` builds its own, so `grow` is
-/// its wall minus that grid time and the phases tile `total`. Returns
+/// each timed, in one run. The grid build is timed on an identical
+/// construction index (the dense cell list `run_basic` grows over, or
+/// its hashed-grid fallback) built just before the run; `run_basic`
+/// builds its own, so `grow` is its wall minus that index time and the
+/// phases tile `total`. Returns
 /// the final graph and removed edges for the caller to check against
 /// `run_centralized`.
 fn phased_run(
@@ -230,9 +234,8 @@ fn phased_run(
     );
     let layout = network.layout();
     let r = network.max_range();
-    let (grid_build, grid) =
-        timed(|| SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len())));
-    drop(std::hint::black_box(grid));
+    let (grid_build, index) = timed(|| construction_index(layout, r, None));
+    drop(std::hint::black_box(index));
 
     let start = Instant::now();
     let (basic_wall, basic) = timed(|| run_basic(network, config.alpha()));

@@ -24,29 +24,67 @@
 //! [`run_basic`], [`run_centralized`] and [`run_centralized_masked`] are
 //! the geometric conveniences; the phy wrappers live in [`crate::phy`].
 //! The incremental [`crate::reconfig::DeltaTopology`] engine builds its
-//! initial state from the same grid builder and grow fan-out, and its
-//! guarded final stage reruns the same pairwise step.
+//! initial state with the same grow fan-out (over its own mutable grid),
+//! and its guarded final stage reruns the same pairwise step.
 //!
 //! ## Output-sensitive growth
 //!
 //! CBTC's defining property (§2) is locality: a node's decision depends
 //! only on neighbors out to its final grow radius. The engine exploits
-//! that — each node runs an expanding shell scan over a [`SpatialGrid`]
-//! ([`cbtc_graph::spatial::ShellScan`]), consuming candidates in
-//! `(cost, id)` order from a min-heap and maintaining the α-gap
-//! incrementally with a flat, allocation-free
+//! that — each node runs an expanding shell scan
+//! ([`cbtc_graph::spatial::ShellScan`]) over the [`ConstructionIndex`],
+//! consuming candidates in `(cost, id)` order from a min-heap and
+//! maintaining the α-gap incrementally with a flat, allocation-free
 //! [`cbtc_geom::gap::FlatGapTracker`]. Most nodes stop after a handful of
 //! rings, so the far side of the layout is never even enumerated; all
 //! transient buffers live in a per-worker [`GrowScratch`], and the
 //! per-node independence makes the whole phase a
 //! [`crate::parallel::par_map_with`]. The all-pairs scan survives as
 //! [`run_basic_brute`], the oracle the engine is property-tested against.
+//!
+//! The index is a dense, cell-major [`CellList`]: a ring is two
+//! contiguous row slices plus one cell per row on each side, with no
+//! hashing. A layout too sparse for a dense cell array falls back to a
+//! [`SpatialGrid`] of the same cell side, which delivers the same ring
+//! sets; [`crate::reconfig::DeltaTopology`] keeps a `SpatialGrid` too,
+//! because its positions move.
+//!
+//! Over a shadowed channel a node scans out to `R · reach_boost` — about
+//! 19 R at σ = 8 dB — although almost every candidate beyond `R` needs a
+//! gain it does not have. So before each ring the kernel asks the metric
+//! for a [`LinkMetric::admission_screen`] at the ring's distance floor ρ
+//! (the scan's guaranteed radius, read before the ring is delivered).
+//! For the shadowed channels of [`crate::phy`] the argument is:
+//!
+//! * admission (cost ≤ R) at distance d ≥ ρ > R needs gain
+//!   `g ≥ (ρ/R)ⁿ` in every priced direction — the forward one, and for
+//!   [`crate::phy::AckGatedChannel`] the reverse one against the gate's
+//!   own range;
+//! * the log-normal draw behind `g` is Box–Muller,
+//!   `z = √(−2 ln u₁)·cos(2πu₂)`, so `g ≥ (ρ/R)ⁿ` needs `z ≥ t` with
+//!   `t = 10·n·log₁₀(ρ/R)/σ`, hence `u₁ ≤ exp(−t²/2)` and a non-negative
+//!   cosine;
+//! * the screen rejects a candidate when u₁'s 53-bit integer exceeds
+//!   `⌈exp(−t²/2)·(1 + 10⁻⁶)·2⁵³⌉ + 1`, when u₂ lies strictly inside
+//!   `(¼ + 10⁻⁹, ¾ − 10⁻⁹)`, and — when `t > 3.2·(1 + 10⁻⁶)`, past the
+//!   ±3.2σ clamp — always ([`cbtc_radio::LinkGain::gain_screen`]).
+//!
+//! Margins: ρ is shrunk by 10⁻⁹ before use, absorbing the rounding of
+//! cell assignment, of `d` and of the floor's `powf`; the 10⁻⁶ slack and
+//! the 10⁻⁹ sign band dwarf the few-ulp rounding of `ln`, `sqrt`, `cos`
+//! and `powf` in the exact path. So every candidate the screen rejects is
+//! one the exact path prices above R; borderline candidates still take
+//! the exact path, and the views are the unscreened kernel's bit for bit.
+//! Rings with ρ ≤ R, σ = 0, the ideal field and the geometric metric get
+//! no screen and run literally the old path. A rejected candidate costs
+//! one or two hash streams and an integer compare instead of `ln`,
+//! `sqrt`, `cos` and two `powf`.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use cbtc_geom::{gap::has_alpha_gap, gap::FlatGapTracker, Alpha, Angle, Point2};
-use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
+use cbtc_graph::{CellList, Layout, NodeId, RingIndex, SpatialGrid, UndirectedGraph, UnionFind};
 use serde::{Deserialize, Serialize};
 
 use crate::opt::{self, PairwiseOutcome, PairwisePolicy};
@@ -141,13 +179,64 @@ pub fn grow<M: LinkMetric + ?Sized>(
 ) -> BasicOutcome {
     let layout = network.layout();
     let r = network.max_range();
-    let grid = construction_grid(layout, r, alive);
-    BasicOutcome::new(alpha, grow_views(layout, &grid, metric, alpha, r, alive))
+    let index = construction_index(layout, r, alive);
+    BasicOutcome::new(alpha, grow_views(layout, &index, metric, alpha, r, alive))
 }
 
-/// The one grid builder: a [`SpatialGrid`] holding exactly the live nodes
-/// (every node without a mask), with the [`construction_cell`] of the
-/// live population.
+/// The index a construction grows over: a dense, cell-major
+/// [`CellList`] of the live nodes, or — when their bounding box is too
+/// sparse for a dense cell array — a hashed [`SpatialGrid`]. Both use
+/// the [`construction_cell`] of the live population, so they deliver the
+/// same ring sets.
+#[derive(Debug, Clone)]
+pub enum ConstructionIndex {
+    /// The dense CSR index (the usual case).
+    Cells(CellList),
+    /// The sparse-layout fallback.
+    Grid(SpatialGrid),
+}
+
+impl RingIndex for ConstructionIndex {
+    fn cell_size(&self) -> f64 {
+        match self {
+            ConstructionIndex::Cells(list) => list.cell_size(),
+            ConstructionIndex::Grid(grid) => grid.cell_size(),
+        }
+    }
+
+    fn candidates_in_ring(&self, center: Point2, ring: u32, out: &mut Vec<NodeId>) {
+        match self {
+            ConstructionIndex::Cells(list) => list.candidates_in_ring(center, ring, out),
+            ConstructionIndex::Grid(grid) => grid.candidates_in_ring(center, ring, out),
+        }
+    }
+}
+
+/// The construction index builder: exactly the live nodes (every node
+/// without a mask) in a [`CellList`], falling back to a [`SpatialGrid`]
+/// when the list declines the layout — the same pattern
+/// [`cbtc_graph::unit_disk::unit_disk_graph`] uses. Public so benchmarks
+/// can time the index [`grow`] actually builds.
+///
+/// # Panics
+///
+/// Panics if the mask's length differs from the layout size.
+pub fn construction_index(
+    layout: &Layout,
+    max_range: f64,
+    alive: Option<&[bool]>,
+) -> ConstructionIndex {
+    let cell = construction_cell(layout, max_range, live_count(layout, alive));
+    let live = |id: NodeId| alive.is_none_or(|alive| alive[id.index()]);
+    match CellList::try_from_layout_where(layout, cell, live) {
+        Some(list) => ConstructionIndex::Cells(list),
+        None => ConstructionIndex::Grid(grid_of(layout, cell, alive)),
+    }
+}
+
+/// The mutable grid [`crate::reconfig::DeltaTopology`] maintains: a
+/// [`SpatialGrid`] holding exactly the live nodes, with the
+/// [`construction_cell`] of the live population.
 ///
 /// # Panics
 ///
@@ -157,14 +246,28 @@ pub(crate) fn construction_grid(
     max_range: f64,
     alive: Option<&[bool]>,
 ) -> SpatialGrid {
-    let population = match alive {
+    let cell = construction_cell(layout, max_range, live_count(layout, alive));
+    grid_of(layout, cell, alive)
+}
+
+/// The number of live nodes: all of them without a mask.
+///
+/// # Panics
+///
+/// Panics if the mask's length differs from the layout size.
+fn live_count(layout: &Layout, alive: Option<&[bool]>) -> usize {
+    match alive {
         Some(alive) => {
             assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
             alive.iter().filter(|a| **a).count()
         }
         None => layout.len(),
-    };
-    let mut grid = SpatialGrid::new(construction_cell(layout, max_range, population));
+    }
+}
+
+/// A [`SpatialGrid`] of side `cell` holding exactly the live nodes.
+fn grid_of(layout: &Layout, cell: f64, alive: Option<&[bool]>) -> SpatialGrid {
+    let mut grid = SpatialGrid::new(cell);
     for (id, p) in layout.iter() {
         if alive.is_none_or(|alive| alive[id.index()]) {
             grid.insert(id, p);
@@ -173,12 +276,12 @@ pub(crate) fn construction_grid(
     grid
 }
 
-/// The one grow fan-out: every node's view over a prebuilt grid of the
+/// The one grow fan-out: every node's view over a prebuilt index of the
 /// live nodes, one [`GrowScratch`] per worker; masked-out nodes get
 /// [`dead_view`].
-pub(crate) fn grow_views<M: LinkMetric + ?Sized>(
+pub(crate) fn grow_views<M: LinkMetric + ?Sized, I: RingIndex + Sync + ?Sized>(
     layout: &Layout,
-    grid: &SpatialGrid,
+    index: &I,
     metric: &M,
     alpha: Alpha,
     max_range: f64,
@@ -187,7 +290,7 @@ pub(crate) fn grow_views<M: LinkMetric + ?Sized>(
     let ids: Vec<NodeId> = layout.node_ids().collect();
     par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
         if alive.is_none_or(|alive| alive[u.index()]) {
-            grow_node_metric_scratch(layout, grid, metric, u, alpha, max_range, scratch)
+            grow_node_metric_scratch(layout, index, metric, u, alpha, max_range, scratch)
         } else {
             dead_view()
         }
@@ -281,11 +384,13 @@ impl GrowScratch {
     }
 }
 
-/// Grows one node output-sensitively over a prebuilt [`SpatialGrid`]
-/// (which must index exactly the participating nodes, `u` itself
-/// included or not — `u` is skipped either way): an expanding shell scan
-/// in *geometric* space consuming candidates in *metric-cost* order, with
-/// all transient state borrowed from a caller-owned [`GrowScratch`].
+/// Grows one node output-sensitively over a prebuilt [`RingIndex`] — the
+/// [`ConstructionIndex`], or the mutable [`SpatialGrid`] of
+/// [`crate::reconfig::DeltaTopology`] — which must index exactly the
+/// participating nodes, `u` itself included or not (`u` is skipped
+/// either way): an expanding shell scan in *geometric* space consuming
+/// candidates in *metric-cost* order, with all transient state borrowed
+/// from a caller-owned [`GrowScratch`].
 ///
 /// Candidates stream in from expanding shell rings; a candidate is only
 /// *discovered* once the scan guarantees nothing cheaper remains
@@ -302,9 +407,15 @@ impl GrowScratch {
 /// α-gap verdict comes from a radian-keyed [`FlatGapTracker`], whose
 /// spans are the same `ccw_to` arithmetic the batch [`has_alpha_gap`]
 /// scan runs.
-pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
+///
+/// Before each ring the kernel asks the metric for its
+/// [`LinkMetric::admission_screen`] at the ring's distance floor and
+/// skips the candidates it rules out; the screen only ever rules out
+/// candidates the exact path would price above `max_range`, so the view
+/// is the one the unscreened kernel computes, bit for bit.
+pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized, I: RingIndex + ?Sized>(
     layout: &Layout,
-    grid: &SpatialGrid,
+    index: &I,
     metric: &M,
     u: NodeId,
     alpha: Alpha,
@@ -317,7 +428,7 @@ pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
     // bound) × this factor. Exactly 1.0 for the geometric metric, so the
     // multiplications below are exact there.
     let shrink = 1.0 / metric.reach_boost();
-    let mut scan = grid.shell_scan(center, scan_radius);
+    let mut scan = index.shell_scan(center, scan_radius);
     let GrowScratch {
         heap,
         ring,
@@ -355,11 +466,19 @@ pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
             .is_none_or(|c| c.0.distance >= scan.guaranteed_radius() * shrink)
         {
             ring.clear();
+            // A lower bound on the distance of every node the coming
+            // ring delivers.
+            let ring_min = scan.guaranteed_radius();
             if !scan.scan_next(ring) {
                 break;
             }
+            let screen = metric.admission_screen(ring_min, max_range);
             for &v in ring.iter() {
-                if v == u {
+                if v == u
+                    || screen
+                        .as_ref()
+                        .is_some_and(|screened_out| screened_out(u, v))
+                {
                     continue;
                 }
                 let distance = metric.cost(u, v, layout.distance(u, v));
@@ -818,6 +937,62 @@ mod tests {
         assert!(run
             .final_graph()
             .is_subgraph_of(&run.basic().symmetric_closure()));
+    }
+
+    #[test]
+    fn construction_index_is_dense_unless_the_layout_is_sparse() {
+        let dense = net((0..40)
+            .map(|i| Point2::new(f64::from(i % 8) * 170.0, f64::from(i / 8) * 130.0))
+            .collect());
+        assert!(matches!(
+            construction_index(dense.layout(), 500.0, None),
+            ConstructionIndex::Cells(_)
+        ));
+        // Two clusters 10⁷ apart: a dense array over their box would hold
+        // ~10⁹ cells, so the engine grows over the hashed grid instead —
+        // and still matches the oracle, masked and unmasked.
+        let mut pts = Vec::new();
+        for k in 0..14 {
+            let a = f64::from(k) * 0.9;
+            pts.push(Point2::new(
+                150.0 * a.cos() + f64::from(k % 3) * 40.0,
+                150.0 * a.sin(),
+            ));
+            pts.push(Point2::new(1e7 + 210.0 * a.sin(), 1e7 + 120.0 * a.cos()));
+        }
+        let sparse = net(pts);
+        let alive: Vec<bool> = (0..sparse.len()).map(|i| i % 4 != 1).collect();
+        for mask in [None, Some(&alive[..])] {
+            assert!(matches!(
+                construction_index(sparse.layout(), 500.0, mask),
+                ConstructionIndex::Grid(_)
+            ));
+        }
+        // The masked oracle: the survivors as a fresh network.
+        let survivors: Vec<NodeId> = sparse
+            .layout()
+            .node_ids()
+            .filter(|u| alive[u.index()])
+            .collect();
+        let sub = net(survivors
+            .iter()
+            .map(|&u| sparse.layout().position(u))
+            .collect());
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+            assert_eq!(run_basic(&sparse, alpha), run_basic_brute(&sparse, alpha));
+            let masked = grow(&sparse, &GeometricMetric, alpha, Some(&alive));
+            let oracle = run_basic_brute(&sub, alpha);
+            for (i, &u) in survivors.iter().enumerate() {
+                let expected = oracle.view(n(i as u32));
+                let ids: Vec<NodeId> = expected
+                    .neighbor_ids()
+                    .into_iter()
+                    .map(|v| survivors[v.index()])
+                    .collect();
+                assert_eq!(masked.view(u).neighbor_ids(), ids, "node {u}");
+                assert_eq!(masked.view(u).grow_radius, expected.grow_radius);
+            }
+        }
     }
 
     #[test]

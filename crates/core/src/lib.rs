@@ -93,8 +93,9 @@ pub mod reconfig;
 pub mod theory;
 
 pub use centralized::{
-    construct, construction_cell, dead_view, grow, grow_node_metric_scratch, optimize, run_basic,
-    run_basic_brute, run_centralized, run_centralized_masked, CbtcRun, GrowScratch, PAR_MIN_CHUNK,
+    construct, construction_cell, construction_index, dead_view, grow, grow_node_metric_scratch,
+    optimize, run_basic, run_basic_brute, run_centralized, run_centralized_masked, CbtcRun,
+    ConstructionIndex, GrowScratch, PAR_MIN_CHUNK,
 };
 pub use config::CbtcConfig;
 pub use error::CbtcError;

@@ -47,13 +47,19 @@
 //! channel ([`optimize_phy`]).
 
 use cbtc_geom::Alpha;
-use cbtc_graph::{DirectedGraph, NodeId, UndirectedGraph};
-use cbtc_radio::{DirectionSensor, LinkGain, PowerLaw};
+use cbtc_graph::{DirectedGraph, NodeId, RingIndex, UndirectedGraph};
+use cbtc_radio::{DirectionSensor, GainScreen, LinkGain, PowerLaw};
 
-use crate::centralized::construction_grid;
+use crate::centralized::construction_index;
 use crate::reconfig::LinkMetric;
 use crate::view::BasicOutcome;
 use crate::{grow, optimize, CbtcConfig, CbtcRun, Network};
+
+/// Relative slack a channel takes off a ring's distance floor before it
+/// screens the ring: it absorbs the rounding of cell assignment, of the
+/// candidate's distance and of the gain floor's `powf`, so a screened
+/// link's cost clears the range by about this much.
+const RING_SLACK: f64 = 1e-9;
 
 /// The stochastic channel a phy construction runs against: the
 /// deterministic path-loss model plus a frozen link-gain field and an
@@ -101,6 +107,24 @@ impl<'a> PhyChannel<'a> {
             d.max(1.0) * g.powf(-1.0 / self.model.exponent())
         }
     }
+
+    /// The gain field's screen for links at geometric distance at least
+    /// `ring_min` that must close within effective distance `range`:
+    /// `d·g^(−1/n) ≤ range` needs `g ≥ (d/range)ⁿ ≥ (ρ/range)ⁿ`, with ρ
+    /// the ring floor less [`RING_SLACK`]. `None` when the field has no
+    /// screen for that floor — as for a ring the range already reaches
+    /// (ρ ≤ range, a floor of at most 1).
+    fn gain_screen(&self, ring_min: f64, range: f64) -> Option<GainScreen> {
+        let rho = ring_min * (1.0 - RING_SLACK);
+        self.gain
+            .gain_screen((rho / range).powf(self.model.exponent()))
+    }
+
+    /// Whether `screen` rules out the gain of the directed link `u → v`.
+    fn screens_out(&self, screen: GainScreen, u: NodeId, v: NodeId) -> bool {
+        self.gain
+            .screens_out(screen, u.raw() as u64, v.raw() as u64)
+    }
 }
 
 /// A [`PhyChannel`] *is* a [`LinkMetric`]: cost is the effective distance
@@ -134,6 +158,20 @@ impl LinkMetric for PhyChannel<'_> {
         } else {
             true_bearing.rotated(e)
         }
+    }
+
+    /// Screens the forward gain `u → v` against the floor `(ρ/R)ⁿ` (see
+    /// [`LinkGain::gain_screen`] for the field's own margins): a link it
+    /// rules out has `d_eff(u → v) > R`. No screen for rings within
+    /// reach of every gain, and none from fields without one (σ = 0,
+    /// [`cbtc_radio::IdealGain`]).
+    fn admission_screen(
+        &self,
+        ring_min: f64,
+        max_range: f64,
+    ) -> Option<impl Fn(NodeId, NodeId) -> bool + '_> {
+        let screen = self.gain_screen(ring_min, max_range)?;
+        Some(move |u, v| self.screens_out(screen, u, v))
     }
 }
 
@@ -188,6 +226,24 @@ impl LinkMetric for AckGatedChannel<'_> {
 
     fn direction(&self, layout: &cbtc_graph::Layout, u: NodeId, v: NodeId) -> cbtc_geom::Angle {
         LinkMetric::direction(self.channel, layout, u, v)
+    }
+
+    /// Screens both directions: the forward gain against the kernel's
+    /// `max_range`, as [`PhyChannel`] does, and the reverse gain `v → u`
+    /// against the gate's own range — a link ruled out either way costs
+    /// more than `max_range` (∞ when the gate shuts).
+    fn admission_screen(
+        &self,
+        ring_min: f64,
+        max_range: f64,
+    ) -> Option<impl Fn(NodeId, NodeId) -> bool + '_> {
+        let channel = self.channel;
+        let forward = channel.gain_screen(ring_min, max_range);
+        let reverse = channel.gain_screen(ring_min, self.max_range);
+        (forward.is_some() || reverse.is_some()).then_some(move |u, v| {
+            forward.is_some_and(|s| channel.screens_out(s, u, v))
+                || reverse.is_some_and(|s| channel.screens_out(s, v, u))
+        })
     }
 }
 
@@ -250,6 +306,11 @@ pub fn phy_reach_digraph(network: &Network, channel: &PhyChannel<'_>) -> Directe
 
 /// [`phy_reach_digraph`] over the live nodes only (all of them without a
 /// mask): masked-out nodes neither reach nor are reached.
+///
+/// Each node shell-scans the construction index out to the boosted
+/// range, and the channel's forward [`LinkMetric::admission_screen`]
+/// rules out, once per ring, candidates that cannot close at maximum
+/// power — the rest are priced exactly.
 fn reach_digraph(
     network: &Network,
     channel: &PhyChannel<'_>,
@@ -257,23 +318,33 @@ fn reach_digraph(
 ) -> DirectedGraph {
     let layout = network.layout();
     let r = network.max_range();
-    let grid = construction_grid(layout, r, alive);
+    let index = construction_index(layout, r, alive);
     let scan_radius = r * channel.reach_boost();
     let mut g = DirectedGraph::new(layout.len());
-    let mut candidates = Vec::new();
+    let mut ring = Vec::new();
     for (u, p) in layout.iter() {
         if alive.is_some_and(|alive| !alive[u.index()]) {
             continue;
         }
-        candidates.clear();
-        grid.candidates_within(p, scan_radius, &mut candidates);
-        candidates.sort_unstable();
-        for &v in &candidates {
-            if v == u {
-                continue;
+        let mut scan = index.shell_scan(p, scan_radius);
+        loop {
+            let ring_min = scan.guaranteed_radius();
+            ring.clear();
+            if !scan.scan_next(&mut ring) {
+                break;
             }
-            if channel.effective_distance(u, v, layout.distance(u, v)) <= r {
-                g.add_edge(u, v);
+            let screen = channel.admission_screen(ring_min, r);
+            for &v in &ring {
+                if v == u
+                    || screen
+                        .as_ref()
+                        .is_some_and(|screened_out| screened_out(u, v))
+                {
+                    continue;
+                }
+                if channel.effective_distance(u, v, layout.distance(u, v)) <= r {
+                    g.add_edge(u, v);
+                }
             }
         }
     }
@@ -311,6 +382,7 @@ mod tests {
     use crate::{construct, run_basic, run_centralized};
     use cbtc_geom::Point2;
     use cbtc_graph::Layout;
+    use cbtc_phy::{Shadowing, ShadowingMode};
     use cbtc_radio::IdealGain;
 
     fn scattered(count: usize, side: f64, seed: u64) -> Network {
@@ -424,6 +496,40 @@ mod tests {
         assert!(g.has_edge(NodeId::new(1), NodeId::new(0)));
         // The symmetric reach graph therefore has no edge.
         assert_eq!(phy_reach_graph(&network, &channel).edge_count(), 0);
+    }
+
+    #[test]
+    fn only_rings_beyond_the_range_are_screened() {
+        let network = scattered(2, 100.0, 1);
+        let r = network.max_range();
+        let shadowing = Shadowing::new(8.0, ShadowingMode::Independent, 3);
+        let channel = PhyChannel::new(network.model(), &shadowing);
+        assert!(channel.admission_screen(0.0, r).is_none());
+        assert!(channel.admission_screen(r, r).is_none());
+        assert!(
+            channel.admission_screen(r * (1.0 + 1e-12), r).is_none(),
+            "inside the ring slack"
+        );
+        assert!(channel.admission_screen(1.01 * r, r).is_some());
+        // Past the boosted range no gain closes a link.
+        let beyond = channel
+            .admission_screen(1.01 * r * channel.reach_boost(), r)
+            .expect("a ring beyond the range");
+        assert!(beyond(NodeId::new(0), NodeId::new(1)));
+        // σ = 0 and the ideal field take the exact path at any distance.
+        let flat = Shadowing::new(0.0, ShadowingMode::Independent, 3);
+        assert!(PhyChannel::new(network.model(), &flat)
+            .admission_screen(1e6, r)
+            .is_none());
+        assert!(PhyChannel::new(network.model(), &IdealGain)
+            .admission_screen(1e6, r)
+            .is_none());
+        // A gate screens as soon as either range is cleared.
+        let wide = AckGatedChannel::new(&channel, 2.0 * r);
+        assert!(wide.admission_screen(0.9 * r, r).is_none());
+        assert!(wide.admission_screen(1.5 * r, r).is_some());
+        let narrow = AckGatedChannel::new(&channel, 0.5 * r);
+        assert!(narrow.admission_screen(0.9 * r, r).is_some());
     }
 
     #[test]

@@ -40,6 +40,36 @@ pub trait LinkMetric: Sync {
     fn direction(&self, layout: &Layout, u: NodeId, v: NodeId) -> Angle {
         layout.direction(u, v)
     }
+
+    /// A conservative admission screen for one shell ring: candidates
+    /// `v` at geometric distance at least `ring_min` from `u`, to be
+    /// admitted only at cost ≤ `max_range`. The growing kernel asks for
+    /// it once per ring and skips every candidate for which it returns
+    /// `true`.
+    ///
+    /// The screen must be exact: it may rule out only a candidate whose
+    /// [`LinkMetric::cost`] is above `max_range`. It is an admission test
+    /// and nothing more — `cost` itself is unchanged, and callers that
+    /// read costs above the range still get them. `None` — the default,
+    /// and what the geometric metric and the ideal channel return — sends
+    /// every candidate down the exact path.
+    ///
+    /// The shadowed channels of [`crate::phy`] screen by gain: admission
+    /// at distance `d ≥ ρ` needs `g ≥ (ρ/R)ⁿ` in every priced direction
+    /// (for the ack gate, the reverse one against the gate's own range),
+    /// with `ρ = ring_min·(1 − 10⁻⁹)` absorbing the rounding of cell
+    /// assignment, of `d` and of the floor's `powf`; the gain field rules
+    /// out links below that floor by its own margins
+    /// ([`cbtc_radio::LinkGain::gain_screen`]). A floor of at most 1 — a
+    /// ring the range already reaches — gets no screen.
+    fn admission_screen(
+        &self,
+        ring_min: f64,
+        max_range: f64,
+    ) -> Option<impl Fn(NodeId, NodeId) -> bool + '_> {
+        let _ = (ring_min, max_range);
+        None::<fn(NodeId, NodeId) -> bool>
+    }
 }
 
 /// The ideal radio's metric: cost *is* geometric distance, returned

@@ -35,7 +35,7 @@
 //! | [`metrics`] | §5 Table 1: average degree and average radius |
 //! | [`paths`], [`load`] | §5: power/hop stretch, route load |
 //! | [`spanners`] | §1 related work: RNG, Gabriel, MST, k-NN |
-//! | [`spatial`] | scaling infrastructure (no paper analogue): the index that takes `G_R` construction and simulated beaconing to 10⁴–10⁵ nodes; its ring/shell queries ([`SpatialGrid::shell_scan`]) drive the output-sensitive CBTC growing phase |
+//! | [`spatial`] | scaling infrastructure (no paper analogue): the index that takes `G_R` construction and simulated beaconing to 10⁴–10⁵ nodes; its ring/shell queries ([`RingIndex::shell_scan`], over the hashed [`SpatialGrid`] or the static CSR [`CellList`]) drive the output-sensitive CBTC growing phase |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,5 +60,5 @@ pub use digraph::DirectedGraph;
 pub use graph::UndirectedGraph;
 pub use layout::Layout;
 pub use node::NodeId;
-pub use spatial::SpatialGrid;
+pub use spatial::{CellList, RingIndex, SpatialGrid};
 pub use union_find::UnionFind;

@@ -19,6 +19,12 @@
 //! `insert`/`remove`/`update` calls themselves, which the owner performs
 //! alongside its own position writes.
 //!
+//! [`CellList`] is the static counterpart: one flat CSR array over a
+//! fixed layout's bounding box, built once and thrown away. Both answer
+//! the shell-ring queries of [`RingIndex`], which is what
+//! [`ShellScan`] — and through it the output-sensitive CBTC growing
+//! phase — runs on.
+//!
 //! [`unit_disk_graph`]: crate::unit_disk::unit_disk_graph
 
 use std::collections::HashMap;
@@ -26,6 +32,92 @@ use std::collections::HashMap;
 use cbtc_geom::Point2;
 
 use crate::{Layout, NodeId};
+
+/// The cell of `p` in a grid of side `cell`: `(⌊x / cell⌋, ⌊y / cell⌋)`,
+/// the one assignment every index here shares.
+fn cell_of(p: Point2, cell: f64) -> (i64, i64) {
+    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+}
+
+/// A square-cell index that enumerates Chebyshev rings of cells — the
+/// query [`ShellScan`] is built on.
+///
+/// Every implementation puts a point in cell `(⌊x / cell⌋, ⌊y / cell⌋)`,
+/// so the ring bounds are provided methods, and two indexes of the same
+/// nodes with the same cell side deliver the same ID *set* for every
+/// ring (each in its own order).
+pub trait RingIndex {
+    /// The cell side length.
+    fn cell_size(&self) -> f64;
+
+    /// Appends to `out` every indexed ID in a cell at Chebyshev distance
+    /// exactly `ring` from the cell containing `center` — the shell query
+    /// underlying output-sensitive neighbor enumeration. Ring `0` is the
+    /// center cell itself; ring `k ≥ 1` is the square annulus of `8k`
+    /// cells around it.
+    ///
+    /// Scanning rings `0, 1, 2, …` enumerates candidates in roughly
+    /// increasing distance: every node in a ring `> k` is at least
+    /// [`RingIndex::ring_min_distance`]`(center, k + 1)` away, so a
+    /// caller that consumes candidates nearest-first (see
+    /// [`RingIndex::shell_scan`]) can stop as soon as its query resolves
+    /// — without ever touching the farther cells.
+    fn candidates_in_ring(&self, center: Point2, ring: u32, out: &mut Vec<NodeId>);
+
+    /// A lower bound on the distance from `center` to any point of any
+    /// cell in ring `ring` *or beyond*: the distance from `center` to the
+    /// boundary of the block of cells covered by rings `0..ring`.
+    ///
+    /// Monotone in `ring`; `0` for rings `0` and (when `center` sits on a
+    /// cell edge) `1`.
+    fn ring_min_distance(&self, center: Point2, ring: u32) -> f64 {
+        if ring == 0 {
+            return 0.0;
+        }
+        let cell = self.cell_size();
+        let (cx, cy) = cell_of(center, cell);
+        let k = i64::from(ring) - 1;
+        let x_lo = (cx - k) as f64 * cell;
+        let x_hi = (cx + k + 1) as f64 * cell;
+        let y_lo = (cy - k) as f64 * cell;
+        let y_hi = (cy + k + 1) as f64 * cell;
+        (center.x - x_lo)
+            .min(x_hi - center.x)
+            .min(center.y - y_lo)
+            .min(y_hi - center.y)
+            .max(0.0)
+    }
+
+    /// The largest ring that can contain a node within `radius` of a
+    /// center point: rings beyond `⌊radius/cell⌋ + 1` lie entirely outside
+    /// the query disk.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `radius` is finite and non-negative.
+    fn rings_to_cover(&self, radius: f64) -> u32 {
+        assert!(
+            radius.is_finite() && radius >= 0.0,
+            "query radius must be finite and non-negative, got {radius}"
+        );
+        ((radius / self.cell_size()).floor() as u32).saturating_add(1)
+    }
+
+    /// Starts an expanding shell scan: candidates within `radius` of
+    /// `center`, delivered ring by ring in roughly increasing distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `radius` is finite and non-negative.
+    fn shell_scan(&self, center: Point2, radius: f64) -> ShellScan<'_, Self> {
+        ShellScan {
+            max_ring: self.rings_to_cover(radius),
+            index: self,
+            center,
+            next_ring: 0,
+        }
+    }
+}
 
 /// A uniform grid over the plane bucketing node IDs by cell.
 ///
@@ -91,11 +183,6 @@ impl SpatialGrid {
         grid
     }
 
-    /// The cell side length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
         self.len
@@ -107,10 +194,7 @@ impl SpatialGrid {
     }
 
     fn cell_of(&self, p: Point2) -> (i64, i64) {
-        (
-            (p.x / self.cell).floor() as i64,
-            (p.y / self.cell).floor() as i64,
-        )
+        cell_of(p, self.cell)
     }
 
     /// Indexes `id` at position `p`.
@@ -198,19 +282,31 @@ impl SpatialGrid {
         }
     }
 
-    /// Appends to `out` every indexed ID in a cell at Chebyshev distance
-    /// exactly `ring` from the cell containing `center` — the shell query
-    /// underlying output-sensitive neighbor enumeration. Ring `0` is the
-    /// center cell itself; ring `k ≥ 1` is the square annulus of `8k`
-    /// cells around it.
+    /// The IDs within exact distance `radius` of node `u` (excluding `u`
+    /// itself), sorted by ID. Convenience wrapper over
+    /// [`SpatialGrid::candidates_within`] + distance filtering against
+    /// `layout`.
     ///
-    /// Scanning rings `0, 1, 2, …` enumerates candidates in roughly
-    /// increasing distance: every node in a ring `> k` is at least
-    /// [`SpatialGrid::ring_min_distance`]`(center, k + 1)` away, so a
-    /// caller that consumes candidates nearest-first (see
-    /// [`SpatialGrid::shell_scan`]) can stop as soon as its query resolves
-    /// — without ever touching the farther cells.
-    pub fn candidates_in_ring(&self, center: Point2, ring: u32, out: &mut Vec<NodeId>) {
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range for `layout` or `radius` is invalid.
+    pub fn neighbors_within(&self, layout: &Layout, u: NodeId, radius: f64) -> Vec<NodeId> {
+        let center = layout.position(u);
+        let r2 = radius * radius;
+        let mut out = Vec::new();
+        self.candidates_within(center, radius, &mut out);
+        out.retain(|&v| v != u && layout.position(v).distance_squared(center) <= r2);
+        out.sort_unstable();
+        out
+    }
+}
+
+impl RingIndex for SpatialGrid {
+    fn cell_size(&self) -> f64 {
+        self.cell
+    }
+
+    fn candidates_in_ring(&self, center: Point2, ring: u32, out: &mut Vec<NodeId>) {
         let (cx, cy) = self.cell_of(center);
         let mut take = |x: i64, y: i64| {
             if let Some(bucket) = self.buckets.get(&(x, y)) {
@@ -231,78 +327,11 @@ impl SpatialGrid {
             take(cx + k, y);
         }
     }
-
-    /// A lower bound on the distance from `center` to any point of any
-    /// cell in ring `ring` *or beyond*: the distance from `center` to the
-    /// boundary of the block of cells covered by rings `0..ring`.
-    ///
-    /// Monotone in `ring`; `0` for rings `0` and (when `center` sits on a
-    /// cell edge) `1`.
-    pub fn ring_min_distance(&self, center: Point2, ring: u32) -> f64 {
-        if ring == 0 {
-            return 0.0;
-        }
-        let (cx, cy) = self.cell_of(center);
-        let k = i64::from(ring) - 1;
-        let x_lo = (cx - k) as f64 * self.cell;
-        let x_hi = (cx + k + 1) as f64 * self.cell;
-        let y_lo = (cy - k) as f64 * self.cell;
-        let y_hi = (cy + k + 1) as f64 * self.cell;
-        (center.x - x_lo)
-            .min(x_hi - center.x)
-            .min(center.y - y_lo)
-            .min(y_hi - center.y)
-            .max(0.0)
-    }
-
-    /// The largest ring that can contain a node within `radius` of a
-    /// center point: rings beyond `⌊radius/cell⌋ + 1` lie entirely outside
-    /// the query disk.
-    pub fn rings_to_cover(&self, radius: f64) -> u32 {
-        assert!(
-            radius.is_finite() && radius >= 0.0,
-            "query radius must be finite and non-negative, got {radius}"
-        );
-        ((radius / self.cell).floor() as u32).saturating_add(1)
-    }
-
-    /// Starts an expanding shell scan: candidates within `radius` of
-    /// `center`, delivered ring by ring in roughly increasing distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `radius` is finite and non-negative.
-    pub fn shell_scan(&self, center: Point2, radius: f64) -> ShellScan<'_> {
-        ShellScan {
-            max_ring: self.rings_to_cover(radius),
-            grid: self,
-            center,
-            next_ring: 0,
-        }
-    }
-
-    /// The IDs within exact distance `radius` of node `u` (excluding `u`
-    /// itself), sorted by ID. Convenience wrapper over
-    /// [`SpatialGrid::candidates_within`] + distance filtering against
-    /// `layout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range for `layout` or `radius` is invalid.
-    pub fn neighbors_within(&self, layout: &Layout, u: NodeId, radius: f64) -> Vec<NodeId> {
-        let center = layout.position(u);
-        let r2 = radius * radius;
-        let mut out = Vec::new();
-        self.candidates_within(center, radius, &mut out);
-        out.retain(|&v| v != u && layout.position(v).distance_squared(center) <= r2);
-        out.sort_unstable();
-        out
-    }
 }
 
-/// An in-progress expanding shell (annulus) scan over a [`SpatialGrid`].
+/// An in-progress expanding shell (annulus) scan over a [`RingIndex`].
 ///
-/// Created by [`SpatialGrid::shell_scan`]. Each [`ShellScan::scan_next`]
+/// Created by [`RingIndex::shell_scan`]. Each [`ShellScan::scan_next`]
 /// call appends the candidates of the next Chebyshev ring;
 /// [`ShellScan::guaranteed_radius`] reports the distance below which the
 /// already-scanned rings are *complete* — every indexed node closer than
@@ -315,7 +344,7 @@ impl SpatialGrid {
 ///
 /// ```
 /// use cbtc_geom::Point2;
-/// use cbtc_graph::{Layout, SpatialGrid};
+/// use cbtc_graph::{Layout, RingIndex, SpatialGrid};
 ///
 /// let layout = Layout::new(vec![Point2::new(5.0, 5.0), Point2::new(95.0, 5.0)]);
 /// let grid = SpatialGrid::from_layout(&layout, 10.0);
@@ -330,14 +359,14 @@ impl SpatialGrid {
 /// assert_eq!(scan.guaranteed_radius(), f64::INFINITY);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ShellScan<'g> {
-    grid: &'g SpatialGrid,
+pub struct ShellScan<'g, I: ?Sized> {
+    index: &'g I,
     center: Point2,
     next_ring: u32,
     max_ring: u32,
 }
 
-impl ShellScan<'_> {
+impl<I: RingIndex + ?Sized> ShellScan<'_, I> {
     /// Appends the next ring's candidates to `out`. Returns `false` once
     /// every ring intersecting the query disk has been scanned (in which
     /// case `out` is untouched).
@@ -345,7 +374,7 @@ impl ShellScan<'_> {
         if self.next_ring > self.max_ring {
             return false;
         }
-        self.grid
+        self.index
             .candidates_in_ring(self.center, self.next_ring, out);
         self.next_ring += 1;
         true
@@ -354,12 +383,14 @@ impl ShellScan<'_> {
     /// Every indexed node *within the query radius* and strictly closer
     /// to the center than this bound has already been delivered by
     /// [`ShellScan::scan_next`]. Infinite once the scan is exhausted (the
-    /// query disk is fully covered).
+    /// query disk is fully covered). Read before a `scan_next`, it is
+    /// also a lower bound on the distance of every node that call
+    /// delivers.
     pub fn guaranteed_radius(&self) -> f64 {
         if self.next_ring > self.max_ring {
             f64::INFINITY
         } else {
-            self.grid.ring_min_distance(self.center, self.next_ring)
+            self.index.ring_min_distance(self.center, self.next_ring)
         }
     }
 }
@@ -373,7 +404,8 @@ impl ShellScan<'_> {
 /// counting sort in `O(n)`, queried with contiguous row slices. Use it
 /// when the whole layout is indexed once and thrown away (graph
 /// construction, per-probe snapshots); use `SpatialGrid` when positions
-/// mutate.
+/// mutate. As a [`RingIndex`], a ring costs two row slices plus one cell
+/// per row on each side, with no hashing.
 ///
 /// [`CellList::try_from_layout`] declines layouts whose bounding box spans
 /// far more cells than there are nodes (a dense array over a sparse box
@@ -389,6 +421,8 @@ pub struct CellList {
     starts: Vec<u32>,
     /// Node IDs grouped by cell, in layout order within each cell.
     ids: Vec<NodeId>,
+    /// Size of the layout the list was built over (indexed or not).
+    layout_len: usize,
 }
 
 impl CellList {
@@ -400,14 +434,38 @@ impl CellList {
     ///
     /// Panics unless `cell` is positive and finite.
     pub fn try_from_layout(layout: &Layout, cell: f64) -> Option<CellList> {
+        CellList::try_from_layout_where(layout, cell, |_| true)
+    }
+
+    /// [`CellList::try_from_layout`] over the nodes where `keep` holds:
+    /// the bounding box, the sparsity cap and the index cover only those
+    /// nodes, as if the others were absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cell` is positive and finite.
+    pub fn try_from_layout_where(
+        layout: &Layout,
+        cell: f64,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Option<CellList> {
         assert!(
             cell.is_finite() && cell > 0.0,
             "cell side must be positive and finite, got {cell}"
         );
-        let cell_of = |p: Point2| -> (i64, i64) {
-            ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-        };
-        if layout.is_empty() {
+        let kept = || layout.iter().filter(|&(id, _)| keep(id));
+        let (mut min_cx, mut min_cy) = (i64::MAX, i64::MAX);
+        let (mut max_cx, mut max_cy) = (i64::MIN, i64::MIN);
+        let mut count = 0usize;
+        for (_, p) in kept() {
+            let (cx, cy) = cell_of(p, cell);
+            min_cx = min_cx.min(cx);
+            min_cy = min_cy.min(cy);
+            max_cx = max_cx.max(cx);
+            max_cy = max_cy.max(cy);
+            count += 1;
+        }
+        if count == 0 {
             return Some(CellList {
                 cell,
                 min_cx: 0,
@@ -416,39 +474,31 @@ impl CellList {
                 rows: 0,
                 starts: vec![0],
                 ids: Vec::new(),
+                layout_len: layout.len(),
             });
-        }
-        let (mut min_cx, mut min_cy) = (i64::MAX, i64::MAX);
-        let (mut max_cx, mut max_cy) = (i64::MIN, i64::MIN);
-        for (_, p) in layout.iter() {
-            let (cx, cy) = cell_of(p);
-            min_cx = min_cx.min(cx);
-            min_cy = min_cy.min(cy);
-            max_cx = max_cx.max(cx);
-            max_cy = max_cy.max(cy);
         }
         let cols = i128::from(max_cx) - i128::from(min_cx) + 1;
         let rows = i128::from(max_cy) - i128::from(min_cy) + 1;
-        let cap = (4 * layout.len() as i128).max(1024);
+        let cap = (4 * count as i128).max(1024);
         if cols * rows > cap {
             return None;
         }
         let (cols, rows) = (cols as usize, rows as usize);
         // Counting sort of node IDs into row-major cells.
         let index_of = |p: Point2| -> usize {
-            let (cx, cy) = cell_of(p);
+            let (cx, cy) = cell_of(p, cell);
             (cy - min_cy) as usize * cols + (cx - min_cx) as usize
         };
         let mut starts = vec![0u32; cols * rows + 1];
-        for (_, p) in layout.iter() {
+        for (_, p) in kept() {
             starts[index_of(p) + 1] += 1;
         }
         for i in 1..starts.len() {
             starts[i] += starts[i - 1];
         }
         let mut cursor = starts.clone();
-        let mut ids = vec![NodeId::new(0); layout.len()];
-        for (id, p) in layout.iter() {
+        let mut ids = vec![NodeId::new(0); count];
+        for (id, p) in kept() {
             let c = index_of(p);
             ids[cursor[c] as usize] = id;
             cursor[c] += 1;
@@ -461,7 +511,23 @@ impl CellList {
             rows,
             starts,
             ids,
+            layout_len: layout.len(),
         })
+    }
+
+    /// The IDs of the cells `x0..=x1` of cell row `y`, clipped to the
+    /// bounding box: one contiguous slice, since the cells of a row are
+    /// consecutive in the CSR layout.
+    fn row_span(&self, y: i64, x0: i64, x1: i64) -> &[NodeId] {
+        let x0 = x0.max(self.min_cx);
+        let x1 = x1.min(self.min_cx + self.cols as i64 - 1);
+        if x0 > x1 || y < self.min_cy || y >= self.min_cy + self.rows as i64 {
+            return &[];
+        }
+        let row = (y - self.min_cy) as usize * self.cols;
+        let lo = row + (x0 - self.min_cx) as usize;
+        let hi = row + (x1 - self.min_cx) as usize;
+        &self.ids[self.starts[lo] as usize..self.starts[hi + 1] as usize]
     }
 
     /// Appends to `out` every indexed ID whose cell intersects the disk of
@@ -476,27 +542,12 @@ impl CellList {
             radius.is_finite() && radius >= 0.0,
             "query radius must be finite and non-negative, got {radius}"
         );
-        if self.cols == 0 {
-            return;
-        }
-        let cx0 = (((center.x - radius) / self.cell).floor() as i64).max(self.min_cx);
-        let cx1 = (((center.x + radius) / self.cell).floor() as i64)
-            .min(self.min_cx + self.cols as i64 - 1);
-        let cy0 = (((center.y - radius) / self.cell).floor() as i64).max(self.min_cy);
-        let cy1 = (((center.y + radius) / self.cell).floor() as i64)
-            .min(self.min_cy + self.rows as i64 - 1);
+        let (cx0, cy0) = cell_of(Point2::new(center.x - radius, center.y - radius), self.cell);
+        let (cx1, cy1) = cell_of(Point2::new(center.x + radius, center.y + radius), self.cell);
+        let cy0 = cy0.max(self.min_cy);
+        let cy1 = cy1.min(self.min_cy + self.rows as i64 - 1);
         for cy in cy0..=cy1 {
-            if cx0 > cx1 {
-                break;
-            }
-            // Cells of one row are consecutive in the CSR layout, so the
-            // whole row span is a single contiguous slice.
-            let row = (cy - self.min_cy) as usize * self.cols;
-            let lo = row + (cx0 - self.min_cx) as usize;
-            let hi = row + (cx1 - self.min_cx) as usize;
-            out.extend_from_slice(
-                &self.ids[self.starts[lo] as usize..self.starts[hi + 1] as usize],
-            );
+            out.extend_from_slice(self.row_span(cy, cx0, cx1));
         }
     }
 
@@ -520,19 +571,9 @@ impl CellList {
             "pair sweep requires radius ≤ cell ({radius} > {})",
             self.cell
         );
-        assert_eq!(layout.len(), self.ids.len(), "layout/index size mismatch");
+        assert_eq!(layout.len(), self.layout_len, "layout/index size mismatch");
         let r2 = radius * radius;
-        let slice = |cx: i64, cy: i64| -> &[NodeId] {
-            if cx < self.min_cx
-                || cy < self.min_cy
-                || cx >= self.min_cx + self.cols as i64
-                || cy >= self.min_cy + self.rows as i64
-            {
-                return &[];
-            }
-            let c = (cy - self.min_cy) as usize * self.cols + (cx - self.min_cx) as usize;
-            &self.ids[self.starts[c] as usize..self.starts[c + 1] as usize]
-        };
+        let slice = |cx: i64, cy: i64| self.row_span(cy, cx, cx);
         for cy in self.min_cy..self.min_cy + self.rows as i64 {
             for cx in self.min_cx..self.min_cx + self.cols as i64 {
                 let here = slice(cx, cy);
@@ -561,6 +602,34 @@ impl CellList {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+impl RingIndex for CellList {
+    fn cell_size(&self) -> f64 {
+        self.cell
+    }
+
+    fn candidates_in_ring(&self, center: Point2, ring: u32, out: &mut Vec<NodeId>) {
+        let (cx, cy) = cell_of(center, self.cell);
+        let k = i64::from(ring);
+        // The ring's bottom and top rows are one CSR slice each…
+        out.extend_from_slice(self.row_span(cy - k, cx - k, cx + k));
+        if k == 0 {
+            return;
+        }
+        out.extend_from_slice(self.row_span(cy + k, cx - k, cx + k));
+        // …and the rows between them contribute one cell on each side.
+        let y0 = (cy - k + 1).max(self.min_cy);
+        let y1 = (cy + k - 1).min(self.min_cy + self.rows as i64 - 1);
+        for x in [cx - k, cx + k] {
+            if x < self.min_cx || x >= self.min_cx + self.cols as i64 {
+                continue;
+            }
+            for y in y0..=y1 {
+                out.extend_from_slice(self.row_span(y, x, x));
             }
         }
     }

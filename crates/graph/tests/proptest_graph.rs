@@ -6,7 +6,9 @@ use cbtc_graph::paths::{dijkstra, hop_stretch};
 use cbtc_graph::spanners;
 use cbtc_graph::traversal::{bfs_distances, component_count, component_labels};
 use cbtc_graph::unit_disk::{unit_disk_graph, unit_disk_graph_brute, unit_disk_graph_where};
-use cbtc_graph::{DirectedGraph, Layout, NodeId, UndirectedGraph, UnionFind};
+use cbtc_graph::{
+    CellList, DirectedGraph, Layout, NodeId, RingIndex, SpatialGrid, UndirectedGraph, UnionFind,
+};
 use proptest::prelude::*;
 
 fn layouts() -> impl Strategy<Value = Layout> {
@@ -252,6 +254,60 @@ proptest! {
                 component_count(&h) >= before + 2,
                 "articulation point {a} did not split"
             );
+        }
+    }
+
+    /// The dense `CellList` and the hashed `SpatialGrid` deliver the same
+    /// ID set for every ring, and share the ring bounds: around random
+    /// centers and node positions, on layouts shifted across negative
+    /// coordinates, with rings partly or wholly outside the bounding box,
+    /// masked and unmasked.
+    #[test]
+    fn cell_list_rings_equal_grid_rings(
+        layout in adversarial_layouts(10.0),
+        shift in (-400.0f64..100.0, -400.0f64..100.0),
+        cell in 20.0f64..120.0,
+        centers in proptest::collection::vec((-900.0f64..900.0, -900.0f64..900.0), 1..4),
+        mask_seed in 0u64..u64::MAX,
+    ) {
+        let layout = Layout::new(
+            layout.iter().map(|(_, p)| Point2::new(p.x + shift.0, p.y + shift.1)).collect(),
+        );
+        let mut centers: Vec<Point2> =
+            centers.into_iter().map(|(x, y)| Point2::new(x, y)).collect();
+        centers.extend(layout.iter().take(2).map(|(_, p)| p));
+        for masked in [false, true] {
+            let keep = |id: NodeId| !masked || (mask_seed >> (id.index() % 64)) & 1 == 0;
+            let list = CellList::try_from_layout_where(&layout, cell, keep)
+                .expect("a few hundred units of layout fit a dense array");
+            let mut grid = SpatialGrid::new(cell);
+            for (id, p) in layout.iter().filter(|&(id, _)| keep(id)) {
+                grid.insert(id, p);
+            }
+            for &center in &centers {
+                // Two rings past the farthest indexed node: wholly outside
+                // the box.
+                let reach = layout
+                    .iter()
+                    .map(|(_, p)| (p.x - center.x).abs().max((p.y - center.y).abs()))
+                    .fold(0.0, f64::max);
+                let last = (reach / cell) as u32 + 3;
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for ring in 0..=last {
+                    a.clear();
+                    b.clear();
+                    list.candidates_in_ring(center, ring, &mut a);
+                    grid.candidates_in_ring(center, ring, &mut b);
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    prop_assert_eq!(&a, &b, "ring {} around {}", ring, center);
+                    prop_assert_eq!(
+                        list.ring_min_distance(center, ring).to_bits(),
+                        grid.ring_min_distance(center, ring).to_bits()
+                    );
+                }
+                prop_assert!(a.is_empty(), "the last ring lies outside the box");
+            }
         }
     }
 }

@@ -20,17 +20,40 @@ fn splitmix(mut z: u64) -> u64 {
 /// 64-bit value.
 #[inline]
 pub fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = splitmix(seed ^ 0x1234_5678_9ABC_DEF0);
-    z = splitmix(z ^ a.wrapping_mul(0xFF51_AFD7_ED55_8CCD));
-    z = splitmix(z ^ b.wrapping_mul(0xC4CE_B9FE_1A85_EC53));
-    splitmix(z ^ c.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+    mix_stream(mix_prefix(seed, a, b), c)
+}
+
+/// The part of [`mix`] that depends on `(seed, a, b)` alone, so several
+/// streams of one identity pay for it once.
+#[inline]
+pub(crate) fn mix_prefix(seed: u64, a: u64, b: u64) -> u64 {
+    let z = splitmix(seed ^ 0x1234_5678_9ABC_DEF0);
+    let z = splitmix(z ^ a.wrapping_mul(0xFF51_AFD7_ED55_8CCD));
+    splitmix(z ^ b.wrapping_mul(0xC4CE_B9FE_1A85_EC53))
+}
+
+/// Stream `c` of a [`mix_prefix`]: `mix(seed, a, b, c)` bit for bit.
+#[inline]
+pub(crate) fn mix_stream(prefix: u64, c: u64) -> u64 {
+    splitmix(prefix ^ c.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+}
+
+/// How many [`unit_open`] ticks make 1: `unit_open(bits)` is
+/// `unit_ticks(bits) / UNIT_TICKS`, exactly.
+pub(crate) const UNIT_TICKS: u64 = 1 << 53;
+
+/// The integer numerator of [`unit_open`]: a uniform integer in
+/// `[1, 2⁵³]` from 64 hash bits.
+#[inline]
+pub(crate) fn unit_ticks(bits: u64) -> u64 {
+    (bits >> 11) + 1
 }
 
 /// A uniform `f64` in `(0, 1]` from 64 hash bits (never exactly zero, so
 /// it is safe under `ln`).
 #[inline]
 pub fn unit_open(bits: u64) -> f64 {
-    (((bits >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
+    (unit_ticks(bits) as f64) * (1.0 / UNIT_TICKS as f64)
 }
 
 /// A standard-normal sample from two hash streams (Box–Muller), clamped
@@ -57,6 +80,13 @@ mod tests {
         assert_ne!(mix(1, 2, 3, 4), mix(2, 2, 3, 4));
         assert_ne!(mix(1, 2, 3, 4), mix(1, 3, 2, 4));
         assert_ne!(mix(1, 2, 3, 4), mix(1, 2, 3, 5));
+    }
+
+    #[test]
+    fn mix_is_its_prefix_then_its_stream() {
+        for (seed, a, b, c) in [(1, 2, 3, 4), (0, 0, 0, 0), (u64::MAX, 7, 9, 0x5AD1)] {
+            assert_eq!(mix(seed, a, b, c), mix_stream(mix_prefix(seed, a, b), c));
+        }
     }
 
     #[test]

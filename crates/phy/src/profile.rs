@@ -5,7 +5,7 @@
 //! from this one plain-data struct, so a profile written into a report
 //! reproduces the run exactly.
 
-use cbtc_radio::LinkGain;
+use cbtc_radio::{GainScreen, LinkGain};
 use serde::{Deserialize, Serialize};
 
 use crate::{Fading, PrrCurve, Shadowing, ShadowingMode};
@@ -215,6 +215,14 @@ impl LinkGain for StochasticChannel {
 
     fn max_packet_gain(&self) -> f64 {
         self.fading.max_gain()
+    }
+
+    fn gain_screen(&self, floor: f64) -> Option<GainScreen> {
+        self.shadowing.gain_screen(floor)
+    }
+
+    fn screens_out(&self, screen: GainScreen, from: u64, to: u64) -> bool {
+        self.shadowing.screens_out(screen, from, to)
     }
 }
 

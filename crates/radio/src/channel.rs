@@ -51,6 +51,50 @@ pub trait LinkGain: Debug {
     fn max_packet_gain(&self) -> f64 {
         1.0
     }
+
+    /// A conservative screen for links whose gain falls short of `floor`,
+    /// prepared once and then applied per link with
+    /// [`LinkGain::screens_out`] — for a caller that must rule out many
+    /// links against one gain floor more cheaply than pricing each.
+    ///
+    /// The contract is one-sided: a link the screen rules out has
+    /// `link_gain < floor`, short of it by at least the rounding of the
+    /// exact computation; a link it lets through may still fall short.
+    /// `None` — the default, what any field without a cheaper test
+    /// returns, and the answer for any floor the field cannot screen
+    /// (NaN included) — rules nothing out.
+    ///
+    /// Log-normal shadowing (`cbtc_phy::Shadowing`) screens its
+    /// Box–Muller draw: a gain reaches the floor only if the normal draw
+    /// reaches `t = 10·log₁₀(floor)/σ`, which rules out every link when
+    /// `t > 3.2·(1 + 10⁻⁶)` (past the clamp), and otherwise each link
+    /// whose u₁ integer exceeds `⌈exp(−t²/2)·(1 + 10⁻⁶)·2⁵³⌉ + 1` or whose
+    /// u₂ lies inside `(¼ + 10⁻⁹, ¾ − 10⁻⁹)` (a negative cosine). The
+    /// 10⁻⁶ slack and the 10⁻⁹ band dwarf the few-ulp rounding of the
+    /// exact draw.
+    fn gain_screen(&self, floor: f64) -> Option<GainScreen> {
+        let _ = floor;
+        None
+    }
+
+    /// Whether `screen`, prepared by this field's
+    /// [`LinkGain::gain_screen`], rules the directed link `from → to` out.
+    fn screens_out(&self, screen: GainScreen, from: u64, to: u64) -> bool {
+        let _ = (screen, from, to);
+        false
+    }
+}
+
+/// A per-floor link screen, built by [`LinkGain::gain_screen`] and read
+/// only by the same field's [`LinkGain::screens_out`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GainScreen {
+    /// The floor exceeds every gain the field can produce: every link is
+    /// ruled out.
+    All,
+    /// Links whose field-defined draw word exceeds this bound are ruled
+    /// out (the field may rule out more with tests of its own).
+    DrawAbove(u64),
 }
 
 /// A packet-reception-rate curve: the probability a packet is decoded

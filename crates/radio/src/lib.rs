@@ -46,7 +46,7 @@ mod schedule;
 mod sensing;
 
 pub use basis::PowerBasis;
-pub use channel::{IdealGain, LinkGain, PerfectPrr, Prr};
+pub use channel::{GainScreen, IdealGain, LinkGain, PerfectPrr, Prr};
 pub use pathloss::{InvalidModelError, PathLoss, PowerLaw};
 pub use power::Power;
 pub use schedule::{PowerSchedule, ScheduleKind};

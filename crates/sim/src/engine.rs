@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use cbtc_geom::Angle;
-use cbtc_graph::{Layout, NodeId, SpatialGrid};
+use cbtc_graph::{Layout, NodeId, RingIndex, SpatialGrid};
 use cbtc_phy::{InterferenceField, InterferenceProfile, PhyProfile};
 use cbtc_radio::{DirectionSensor, LinkGain, PathLoss, Power, Prr};
 use cbtc_trace::{TraceEvent, TraceHandle};

@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# Bit-identity A/B of the pipeline benchmark: a parent commit against the
+# working tree, in one shared cargo target directory.
+#
+#   scripts/fingerprint_ab.sh PARENT_REV
+#
+# Environment (all optional):
+#   WORKLOADS        workloads to run   (default: construct construct_phy serve lifetime)
+#   SEEDS            seeds to run       (default: 1 2 3 7)
+#   SECONDS_PER_RUN  --seconds per run  (default: 20)
+#   AB_TARGET_DIR    shared target dir  (default: a fresh temporary directory)
+#
+# The benchmark stores each run's output fingerprint next to its
+# executable and, when a later run of the same workload, seed and
+# --seconds disagrees, prints "fingerprint ... differs" and reports every
+# operation failed. So the script builds PARENT_REV into the target
+# directory and runs every workload x seed there first (storing the
+# parent's fingerprints), then builds the working tree into the same
+# directory and runs the same list again. It fails if any run prints a
+# "differs" line, reports "correct": false, or reports failed > 0.
+set -euo pipefail
+
+parent=${1:?usage: scripts/fingerprint_ab.sh PARENT_REV}
+workloads=${WORKLOADS:-construct construct_phy serve lifetime}
+seeds=${SEEDS:-1 2 3 7}
+seconds=${SECONDS_PER_RUN:-20}
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+target=${AB_TARGET_DIR:-$work/target}
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/parent"
+git -C "$repo" archive "$parent" | tar -x -C "$work/parent"
+rm -rf "$target/release/pipeline-bench-fingerprints"
+
+status=0
+run_side() {
+    local side=$1 manifest=$2
+    CARGO_TARGET_DIR=$target cargo build --quiet --release --offline --manifest-path "$manifest"
+    for w in $workloads; do
+        for s in $seeds; do
+            local log=$work/$side-$w-$s.log line
+            # A run that crashes leaves no result line and counts as failed.
+            line=$("$target/release/cbtc-pipeline-bench" --workload "$w" --seed "$s" \
+                --seconds "$seconds" --trace 0 2>"$log" | tail -n 1) || line=
+            local verdict=ok
+            if grep -q differs "$log"; then
+                verdict="FINGERPRINT DIFFERS"
+            elif ! grep -q '"correct": true' <<<"$line" || ! grep -q '"failed": 0,' <<<"$line"; then
+                verdict="FAILED"
+            fi
+            [ "$verdict" = ok ] || status=1
+            printf '%-6s %-13s seed %-3s %-20s %s\n' "$side" "$w" "$s" "$verdict" \
+                "$(grep -o 'fingerprint .*' "$log" | tail -n 1)"
+        done
+    done
+}
+
+run_side parent "$work/parent/pipeline-bench/Cargo.toml"
+run_side change "$repo/pipeline-bench/Cargo.toml"
+[ "$status" = 0 ] && echo "fingerprint A/B: every run matched its parent, nothing failed" \
+    || echo "fingerprint A/B: FAILED"
+exit "$status"
