@@ -92,18 +92,6 @@ struct MeasuredPricingSection {
     rows: Vec<MarginRow>,
 }
 
-/// Wall-clock of the same shadowed lifetime trials through the
-/// incremental survivor tracker vs from-scratch rebuilds (statistics
-/// asserted bit-identical).
-#[derive(Debug, Serialize)]
-struct ReconfigBench {
-    sigma_db: f64,
-    trials: u32,
-    incremental_seconds: f64,
-    from_scratch_seconds: f64,
-    speedup: f64,
-}
-
 #[derive(Debug, Serialize)]
 struct BenchDoc {
     seed: u64,
@@ -122,7 +110,6 @@ struct BenchDoc {
     /// Margin sweep re-priced on [`PowerBasis::Measured`]; shares
     /// `margin_baseline` (max power ignores the pricing basis).
     measured_pricing: Option<MeasuredPricingSection>,
-    reconfig: Option<ReconfigBench>,
     ideal_check_trials: u32,
     /// Must match `BENCH_lifetime.json`'s `configs[*].aggregate`
     /// bit-for-bit when run with the same trials/seed.
@@ -233,9 +220,9 @@ fn main() {
     lifetime_scenario.name = "phy-lifetime".to_owned();
     lifetime_scenario.trials = lifetime_trials;
     let lifetime_config = LifetimeConfig::paper_default();
-    // The one CBTC configuration the lifetime table, the margin sweep
-    // and the reconfiguration bench all exercise — named once so the
-    // three sections can never drift apart.
+    // The one CBTC configuration the lifetime table and the margin sweep
+    // both exercise — named once so the two sections can never drift
+    // apart.
     let cbtc_policy = TopologyPolicy::Cbtc(CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS));
     let lifetime_policies = [TopologyPolicy::MaxPower, cbtc_policy];
     println!(
@@ -464,44 +451,6 @@ fn main() {
         margin_baseline = Some(baseline);
     }
 
-    // ── incremental vs from-scratch phy reconfiguration ─────────────
-    // The phy lifetime path used to rebuild the survivor topology from
-    // scratch every death epoch; it now rides the incremental engine.
-    // Same trials both ways, statistics asserted bit-identical.
-    let reconfig = (lifetime_trials > 0).then(|| {
-        let sigma = 8.0;
-        let mut profile = PhyProfile::shadowed(sigma, seed);
-        profile.prr = PrrCurve::paper_transition();
-        let cbtc_only = [cbtc_policy];
-        let mut config = lifetime_config;
-        config.incremental = true;
-        let t0 = Instant::now();
-        let inc = phy_lifetime_experiment(&lifetime_scenario, &cbtc_only, profile, config, seed);
-        let incremental_seconds = t0.elapsed().as_secs_f64();
-        config.incremental = false;
-        let t1 = Instant::now();
-        let scratch =
-            phy_lifetime_experiment(&lifetime_scenario, &cbtc_only, profile, config, seed);
-        let from_scratch_seconds = t1.elapsed().as_secs_f64();
-        assert_eq!(
-            inc, scratch,
-            "incremental phy lifetime must be bit-identical"
-        );
-        let bench = ReconfigBench {
-            sigma_db: sigma,
-            trials: lifetime_trials,
-            incremental_seconds,
-            from_scratch_seconds,
-            speedup: from_scratch_seconds / incremental_seconds.max(f64::MIN_POSITIVE),
-        };
-        println!(
-            "\nphy reconfiguration — σ = {sigma} dB, {lifetime_trials} trials: incremental \
-             {:.2}s vs from-scratch {:.2}s ({:.1}×), statistics bit-identical",
-            bench.incremental_seconds, bench.from_scratch_seconds, bench.speedup
-        );
-        bench
-    });
-
     // ── the σ = 0 / PRR = 1 ideal check ─────────────────────────────
     let mut ideal_check = Vec::new();
     if ideal_trials > 0 {
@@ -573,7 +522,6 @@ fn main() {
             margin_baseline,
             margin,
             measured_pricing,
-            reconfig,
             ideal_check_trials: ideal_trials,
             ideal_check,
             wall_seconds: wall,

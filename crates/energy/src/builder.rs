@@ -5,10 +5,13 @@
 //! worlds (max power, CBTC over the ideal radio). The phy subsystem needs
 //! to run the *same* lifetime arithmetic over topologies built on a
 //! stochastic channel, and to charge energy for the retransmissions lossy
-//! links force. These two traits are that seam:
+//! links force. These traits are that seam:
 //!
-//! * [`TopologyBuilder`] — how the network (re)builds its topology, over
-//!   everyone and over survivors;
+//! * [`TopologyBuilder`] — the initial topology, the
+//!   [`SurvivorTracker`] that maintains it under deaths, and the links'
+//!   [`LinkReliability`], all from one description of the channel;
+//! * [`SurvivorTracker`] — the survivor topology the lifetime engine
+//!   patches on every death epoch (§4 reconfiguration);
 //! * [`LinkReliability`] — the expected number of transmission attempts a
 //!   packet needs per hop (ARQ with retransmit-until-delivered), which
 //!   multiplies both the hop's energy drains and its routing weight.
@@ -20,16 +23,16 @@
 use cbtc_core::reconfig::TopologyDelta;
 use cbtc_core::Network;
 use cbtc_graph::{NodeId, UndirectedGraph};
-use cbtc_radio::Power;
+use cbtc_radio::{Power, PowerBasis};
 
-/// An incrementally maintained survivor topology: the stateful
-/// counterpart of [`TopologyBuilder::build_on_survivors`], patched per
-/// death epoch instead of rebuilt.
+/// The survivor topology of a fixed network, maintained under node
+/// deaths: patched per death epoch, never rebuilt.
 ///
-/// Implementations must stay **edge-for-edge identical** to the
-/// from-scratch rebuild at every alive mask — the lifetime engine
-/// treats the two paths as interchangeable and the equivalence tests
-/// replay whole simulations across them.
+/// Implementations must stay **edge-for-edge identical** to their
+/// builder's from-scratch construction over the survivors at every alive
+/// mask (`build_on_survivors` on [`crate::TopologyPolicy`] and
+/// [`crate::PhyPolicy`], the oracles the equivalence tests replay whole
+/// simulations against).
 pub trait SurvivorTracker: std::fmt::Debug + Send {
     /// The current topology (dead nodes isolated, original node set).
     fn graph(&self) -> &UndirectedGraph;
@@ -62,40 +65,30 @@ pub trait SurvivorTracker: std::fmt::Debug + Send {
     fn set_metrics(&mut self, registry: &cbtc_metrics::MetricsRegistry) {
         let _ = registry;
     }
-
-    /// Clones the tracker behind the object seam (lifetime simulations
-    /// are `Clone`).
-    fn clone_box(&self) -> Box<dyn SurvivorTracker>;
 }
 
-impl Clone for Box<dyn SurvivorTracker> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// How a lifetime run builds (and rebuilds) its topology.
+/// How a lifetime run builds its topology, maintains it over the
+/// survivors, and prices its links.
 ///
-/// Implementations must be deterministic: both methods are pure functions
-/// of the network and the mask.
+/// `basis` is the run's power-pricing basis
+/// ([`EnergyModel::power_basis`](crate::EnergyModel::power_basis)): a
+/// builder whose construction depends on how hops are priced (the phy
+/// builder gates CBTC growth on feedback under measured pricing) reads
+/// it here, so the topology and the pricing can never disagree.
+///
+/// Implementations must be deterministic: every method is a pure
+/// function of its arguments.
 pub trait TopologyBuilder: std::fmt::Debug + Send + Sync {
     /// Builds the topology over the full network.
-    fn build(&self, network: &Network) -> UndirectedGraph;
+    fn build(&self, network: &Network, basis: PowerBasis) -> UndirectedGraph;
 
-    /// Builds the topology over the surviving subset: a graph on the
-    /// original node set whose edges touch only nodes with `alive[i]`
-    /// true (the §4 reconfiguration step).
-    fn build_on_survivors(&self, network: &Network, alive: &[bool]) -> UndirectedGraph;
+    /// The survivor tracker the lifetime engine patches on every death
+    /// epoch, starting from [`TopologyBuilder::build`]'s graph.
+    fn survivor_tracker(&self, network: &Network, basis: PowerBasis) -> Box<dyn SurvivorTracker>;
 
-    /// An incremental survivor tracker whose maintained graph is
-    /// bit-equal to [`TopologyBuilder::build_on_survivors`] at every
-    /// mask, when the builder supports one. The lifetime engine prefers
-    /// it over from-scratch rebuilds (`LifetimeConfig { incremental:
-    /// true, .. }`); `None` falls back to rebuilding.
-    fn survivor_tracker(&self, network: &Network) -> Option<Box<dyn SurvivorTracker>> {
-        let _ = network;
-        None
-    }
+    /// The expected ARQ attempts of the links this builder's channel
+    /// carries.
+    fn reliability(&self, network: &Network) -> Box<dyn LinkReliability>;
 
     /// Whether nodes know link costs and can adapt per-packet
     /// transmission power.

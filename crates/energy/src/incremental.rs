@@ -6,11 +6,12 @@
 //! joins, moves and stochastic channels. What remains here is the
 //! lifetime engine's *death-only adapter*: [`MetricSurvivorTopology`]
 //! narrows the engine to the death streams a battery simulation
-//! produces, keeps the view-free max-power fast path (stripping the dead
-//! nodes' edges is the whole update), and stays **edge-for-edge
-//! identical** to the builder's from-scratch survivor rebuild — the
-//! property tests replay both paths against each other, and a whole
-//! lifetime run is bitwise equal either way. [`SurvivorTopology`] is the
+//! produces, keeps the view-free fast path (stripping the dead nodes'
+//! edges is the whole update, for max power and for runs without
+//! reconfiguration), and stays **edge-for-edge identical** to the
+//! builder's from-scratch survivor construction — the property tests
+//! replay the two against each other, and whole lifetime runs against a
+//! tracker that rebuilds from scratch. [`SurvivorTopology`] is the
 //! adapter on the ideal radio; the phy subsystem instantiates it on the
 //! effective-distance metric.
 
@@ -98,7 +99,8 @@ impl<M: LinkMetric> MetricSurvivorTopology<M> {
         }
     }
 
-    /// An adapter over an induced-subgraph topology (every node alive).
+    /// An adapter over an induced-subgraph topology (every node alive):
+    /// a death strips the dead node's edges and nothing else re-grows.
     pub(crate) fn induced(graph: UndirectedGraph) -> Self {
         MetricSurvivorTopology {
             alive: vec![true; graph.node_count()],
@@ -116,9 +118,7 @@ impl<M: LinkMetric> MetricSurvivorTopology<M> {
 /// The tracker seam the lifetime engine drives. The observability setters
 /// reach the CBTC engine; they are no-ops for the view-free fast path,
 /// whose kills are trivial edge strips.
-impl<M: LinkMetric + std::fmt::Debug + Clone + Send + 'static> SurvivorTracker
-    for MetricSurvivorTopology<M>
-{
+impl<M: LinkMetric + std::fmt::Debug + Send> SurvivorTracker for MetricSurvivorTopology<M> {
     fn graph(&self) -> &UndirectedGraph {
         self.cbtc.as_ref().map_or(&self.graph, DeltaTopology::graph)
     }
@@ -170,10 +170,6 @@ impl<M: LinkMetric + std::fmt::Debug + Clone + Send + 'static> SurvivorTracker
         if let Some(engine) = &mut self.cbtc {
             engine.set_metrics(registry);
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn SurvivorTracker> {
-        Box::new(self.clone())
     }
 }
 

@@ -33,8 +33,8 @@
 //! This crate extends the paper rather than transcribing a section: §1
 //! motivates topology control by battery life and §6 names "energy
 //! consumed … network lifetime" as the open evaluation; [`LifetimeSim`]
-//! supplies that evaluation. Topology (re)construction inside the epoch
-//! loop goes through the grid-indexed
+//! supplies that evaluation. The initial topology goes through the
+//! grid-indexed
 //! [`unit_disk_graph`](cbtc_graph::unit_disk::unit_disk_graph) and the §3
 //! optimizations of [`cbtc_core::opt`]; death epochs take the §4
 //! reconfiguration as an *incremental patch*: the builder's

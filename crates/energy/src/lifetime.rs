@@ -8,9 +8,10 @@
 //!    receivers (rx),
 //! 3. drains every alive node's standby cost — idle listening plus
 //!    maintenance beaconing at its current broadcast radius,
-//! 4. removes nodes whose batteries emptied and, when configured,
-//!    reruns the topology policy over the survivors (§4
-//!    reconfiguration),
+//! 4. removes nodes whose batteries emptied and patches the topology:
+//!    when configured, survivors re-run the topology policy where a
+//!    death touched it (§4 reconfiguration); otherwise the dead nodes'
+//!    edges are stripped and the initial topology merely decays,
 //! 5. records lifetime milestones: the first death, the first partition
 //!    of the surviving topology, and the death of the last node.
 //!
@@ -35,44 +36,44 @@
 //!   before the first packet moves. Inside a caller's own fan-out (the
 //!   multi-seed runner) this runs inline. The packet loop only walks
 //!   cached trees, reusing one path buffer.
-//! * **Death epochs patch, not rebuild.** Deaths go through the
-//!   builder's [`SurvivorTracker`] (the ideal-radio
-//!   [`crate::SurvivorTopology`] or the phy tracker, both thin adapters
-//!   over [`cbtc_core::reconfig::DeltaTopology`]): the topology is
-//!   patched in place, only the rows the edge delta touches are
-//!   re-priced, and only the routing trees the change can actually
-//!   affect — those reaching a dead node, using a removed tree edge, or
-//!   improvable by an added edge in either direction — are dropped, to
-//!   be rebuilt when their source next sends. In a connected network a
-//!   death reaches every tree, so the epoch after a death rebuilds one
-//!   tree per sender; that burst is what the fan-out spreads over the
-//!   cores.
+//! * **Death epochs patch, not rebuild.** The topology is one
+//!   [`SurvivorTracker`], patched on every death epoch: the builder's
+//!   own (the ideal-radio [`crate::SurvivorTopology`] or the phy
+//!   tracker, both thin adapters over
+//!   [`cbtc_core::reconfig::DeltaTopology`]) when survivors reconfigure,
+//!   the strip-only tracker over the builder's initial topology when
+//!   they do not. Only the rows the edge delta touches are re-priced,
+//!   and only the routing trees the change can actually affect — those
+//!   reaching a dead node, using a removed tree edge, or improvable by
+//!   an added edge in either direction — are dropped, to be rebuilt
+//!   when their source next sends. In a connected network a death
+//!   reaches every tree, so the epoch after a death rebuilds one tree
+//!   per sender; that burst is what the fan-out spreads over the cores.
 //!
 //! Topology, prices and the alive mask are fixed while packets move, so
 //! building the trees up front and in parallel reproduces the lazy,
-//! sequential order bit for bit. Both death-epoch mechanisms are
-//! bit-for-bit equivalent to the rebuild-everything path
-//! (`LifetimeConfig { incremental: false, .. }`), which the equivalence
-//! tests replay against.
+//! sequential order bit for bit. The tests hold both death-epoch
+//! mechanisms to from-scratch oracles: whole runs over a tracker that
+//! rebuilds the survivor topology every death epoch, and, after every
+//! epoch, each cached tree, priced row and radius against a fresh
+//! computation.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use cbtc_core::parallel::par_map_with;
-use cbtc_core::reconfig::graph_delta;
 use cbtc_core::reconfig::routing::{tree_reusable, SpTree};
 use cbtc_core::Network;
 use cbtc_graph::paths::{DijkstraScratch, Rows, WeightedArc};
+use cbtc_graph::traversal::alive_connected;
 use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use cbtc_radio::{PathLoss, Power, PowerBasis};
 use cbtc_trace::{TraceEvent, TraceHandle, TRACE_VERSION};
 use serde::{Deserialize, Serialize};
 
-use crate::builder::SurvivorTracker;
 use crate::{
-    Battery, EnergyLedger, EnergyModel, Flow, FlowGenerator, IdealLinks, LinkReliability,
-    TopologyBuilder, TopologyDelta, TopologyPolicy, TrafficPattern,
+    Battery, EnergyLedger, EnergyModel, Flow, FlowGenerator, LinkReliability, SurvivorTopology,
+    SurvivorTracker, TopologyBuilder, TopologyDelta, TopologyPolicy, TrafficPattern,
 };
 
 /// Parameters of a lifetime run.
@@ -89,13 +90,6 @@ pub struct LifetimeConfig {
     /// Whether survivors rerun the topology policy after deaths
     /// (reconfiguration). When off, the initial topology merely decays.
     pub reconfigure: bool,
-    /// Whether reconfiguration runs through the incremental survivor
-    /// path (the builder's [`SurvivorTracker`] + selective routing
-    /// invalidation) instead of rebuilding topology and routes from
-    /// scratch each death epoch. Results are bit-for-bit identical
-    /// either way; `false` exists for validation and benchmarking of
-    /// the rebuild path.
-    pub incremental: bool,
     /// The radio energy price list.
     pub energy: EnergyModel,
 }
@@ -111,7 +105,6 @@ impl LifetimeConfig {
             pattern: TrafficPattern::Uniform,
             max_epochs: 40_000,
             reconfigure: true,
-            incremental: true,
             energy: EnergyModel::paper_default(),
         }
     }
@@ -200,15 +193,17 @@ const ROUTE_MIN_CHUNK: usize = 16;
 /// over the cores. The packet loop then only walks cached trees. Traffic
 /// changes neither the topology, the prices nor the alive mask, so a tree
 /// built up front is bit for bit the one the packet would have built.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct RoutingTable {
     trees: Vec<Option<SpTree>>,
 }
 
 impl RoutingTable {
-    fn reset(&mut self, n: usize) {
-        self.trees.clear();
-        self.trees.resize(n, None);
+    /// A table for `n` nodes with no tree built yet.
+    fn new(n: usize) -> Self {
+        RoutingTable {
+            trees: vec![None; n],
+        }
     }
 
     /// Builds and installs the tree of every sender in `flows` that has
@@ -284,14 +279,14 @@ impl RoutingTable {
 /// per-epoch phase timings, outcome counters, and the accumulated expected
 /// ARQ attempts. Resolved once at install so the epoch loop never touches
 /// the registry's name map.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LifetimeMetrics {
     /// Wall-clock nanos of the traffic phase (routing + tx/rx drains).
     nanos_traffic: Histogram,
     /// Wall-clock nanos of the standby-drain phase.
     nanos_standby: Histogram,
-    /// Wall-clock nanos of a death epoch's reconfiguration (tracker kill
-    /// or from-scratch rebuild, plus routing invalidation).
+    /// Wall-clock nanos of a death epoch's reconfiguration (tracker kill,
+    /// row re-pricing and routing invalidation).
     nanos_reconfig: Histogram,
     /// Wall-clock nanos of the post-death connectivity check.
     nanos_partition: Histogram,
@@ -385,18 +380,16 @@ fn edge_cost(edge_costs: &[Vec<PricedArc>], u: NodeId, v: NodeId) -> PricedArc {
 /// assert!(report.first_death.is_some());
 /// assert!(report.delivered > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LifetimeSim {
     network: Network,
-    /// How topologies are (re)built. For the classic constructor this is
-    /// the [`TopologyPolicy`] itself; [`LifetimeSim::with_builder`]
-    /// injects arbitrary builders (the phy subsystem's entry point).
-    builder: Arc<dyn TopologyBuilder>,
-    /// Expected per-link transmission attempts (ARQ). [`IdealLinks`]
-    /// multiplies by the literal `1.0` — bit-identical to no reliability
-    /// model at all.
-    reliability: Arc<dyn LinkReliability>,
-    /// Cached `builder.power_controlled()`.
+    /// The builder's [`TopologyBuilder::label`].
+    label: String,
+    /// Expected per-link transmission attempts (ARQ), supplied by the
+    /// builder. [`crate::IdealLinks`] multiplies by the literal `1.0` —
+    /// bit-identical to no reliability model at all.
+    reliability: Box<dyn LinkReliability>,
+    /// The builder's [`TopologyBuilder::power_controlled`].
     power_controlled: bool,
     config: LifetimeConfig,
     flows: FlowGenerator,
@@ -405,21 +398,16 @@ pub struct LifetimeSim {
     batteries: Vec<Battery>,
     alive: Vec<bool>,
     alive_count: u32,
-    /// Cached list of alive node IDs (rebuilt on deaths).
+    /// Cached list of alive node IDs (pruned on deaths).
     alive_ids: Vec<NodeId>,
-    /// The current topology for the rebuild/decay paths. An empty
-    /// placeholder when `reconfig` owns the topology instead — every
-    /// read goes through [`LifetimeSim::topology`] (or an equivalent
-    /// field-level borrow in the hot loop).
-    topology: UndirectedGraph,
-    /// The incrementally maintained survivor topology (present when
-    /// `config.reconfigure && config.incremental` and the builder
-    /// supplies a [`SurvivorTracker`]).
-    reconfig: Option<Box<dyn SurvivorTracker>>,
+    /// The current topology, patched on every death epoch: the builder's
+    /// survivor tracker when `config.reconfigure`, else the strip-only
+    /// tracker over the builder's initial topology.
+    topology: Box<dyn SurvivorTracker>,
     routes: RoutingTable,
-    /// Per-node rows of priced arcs to the alive neighbours, in
-    /// `topology`'s adjacency order: the routing kernel's arc source,
-    /// so neither routing nor the packet loop ever re-prices a link.
+    /// Per-node rows of priced arcs to the alive neighbours, in the
+    /// topology's adjacency order: the routing kernel's arc source, so
+    /// neither routing nor the packet loop ever re-prices a link.
     edge_costs: Vec<Vec<PricedArc>>,
     /// Scratch buffer for the per-packet path walk.
     path_buf: Vec<NodeId>,
@@ -460,43 +448,31 @@ impl LifetimeSim {
         config: LifetimeConfig,
         seed: u64,
     ) -> Self {
-        LifetimeSim::with_builder(
-            network,
-            Arc::new(policy),
-            Arc::new(IdealLinks),
-            config,
-            seed,
-        )
+        LifetimeSim::with_builder(network, &policy, config, seed)
     }
 
-    /// [`LifetimeSim::new`] with an injected topology builder and link
-    /// reliability — the phy subsystem's entry point.
+    /// [`LifetimeSim::new`] with an injected topology builder — the phy
+    /// subsystem's entry point.
     ///
-    /// Builders that supply a [`TopologyBuilder::survivor_tracker`]
-    /// (both [`TopologyPolicy`] and the phy subsystem's
-    /// [`crate::PhyPolicy`] do) drive the incremental survivor machinery;
-    /// others fall back to from-scratch rebuilds. The two paths are
-    /// bit-for-bit equivalent, so results are unaffected either way.
+    /// The builder is told the run's pricing basis
+    /// (`config.energy.power_basis`) and supplies the link reliability
+    /// its channel implies. With `config.reconfigure` the engine patches
+    /// the builder's [`TopologyBuilder::survivor_tracker`] on every death
+    /// epoch; without it, the builder's initial topology decays: each
+    /// death strips the dead node's edges.
     pub fn with_builder(
         network: Network,
-        builder: Arc<dyn TopologyBuilder>,
-        reliability: Arc<dyn LinkReliability>,
+        builder: &dyn TopologyBuilder,
         config: LifetimeConfig,
         seed: u64,
     ) -> Self {
         let n = network.len();
-        let reconfig = if config.reconfigure && config.incremental {
-            builder.survivor_tracker(&network)
+        let basis = config.energy.power_basis;
+        let topology = if config.reconfigure {
+            builder.survivor_tracker(&network, basis)
         } else {
-            None
+            Box::new(SurvivorTopology::induced(builder.build(&network, basis)))
         };
-        let topology = match &reconfig {
-            // The incremental state owns the topology; the field stays an
-            // empty placeholder (every read goes through `reconfig`).
-            Some(_) => UndirectedGraph::new(0),
-            None => builder.build(&network),
-        };
-        let power_controlled = builder.power_controlled();
         let mut sim = LifetimeSim {
             flows: FlowGenerator::new(config.pattern, seed),
             seed,
@@ -504,9 +480,9 @@ impl LifetimeSim {
             alive: vec![true; n],
             alive_count: n as u32,
             alive_ids: (0..n as u32).map(NodeId::new).collect(),
-            reconfig,
-            routes: RoutingTable::default(),
-            edge_costs: Vec::new(),
+            topology,
+            routes: RoutingTable::new(n),
+            edge_costs: vec![Vec::new(); n],
             path_buf: Vec::new(),
             flow_buf: Vec::new(),
             radius_power: vec![Power::ZERO; n],
@@ -523,14 +499,15 @@ impl LifetimeSim {
             drained: vec![0.0; n],
             alive_curve: Vec::new(),
             balance_cv_at_first_death: None,
-            topology,
+            label: builder.label(),
+            reliability: builder.reliability(&network),
+            power_controlled: builder.power_controlled(),
             network,
-            builder,
-            reliability,
-            power_controlled,
             config,
         };
-        sim.refresh_routing_and_radii();
+        for u in 0..n as u32 {
+            sim.refresh_node_costs_and_radius(NodeId::new(u));
+        }
         sim.check_partition();
         sim
     }
@@ -547,7 +524,7 @@ impl LifetimeSim {
 
     /// The current topology (dead nodes are isolated).
     pub fn topology(&self) -> &UndirectedGraph {
-        self.reconfig.as_ref().map_or(&self.topology, |t| t.graph())
+        self.topology.graph()
     }
 
     /// The per-node batteries.
@@ -564,10 +541,8 @@ impl LifetimeSim {
     /// randomness — a traced run is bit-identical to an untraced one.
     /// Times are epochs (the engine's native unit).
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        if let Some(tracker) = &mut self.reconfig {
-            tracker.set_trace(trace.clone());
-            tracker.set_trace_clock(self.epoch as f64);
-        }
+        self.topology.set_trace(trace.clone());
+        self.topology.set_trace_clock(self.epoch as f64);
         let layout = self.network.layout();
         let (mut width, mut height) = (0.0f64, 0.0f64);
         for (_, p) in layout.iter() {
@@ -576,7 +551,7 @@ impl LifetimeSim {
         }
         trace.record(TraceEvent::Meta {
             version: TRACE_VERSION,
-            run: format!("lifetime/{}", self.builder.label()),
+            run: format!("lifetime/{}", self.label),
             nodes: self.network.len() as u32,
             seed: self.seed,
             alpha: 0.0,
@@ -591,7 +566,7 @@ impl LifetimeSim {
             ys: layout.iter().map(|(_, p)| p.y).collect(),
             alive: self.alive.clone(),
         });
-        let topology = self.reconfig.as_ref().map_or(&self.topology, |t| t.graph());
+        let topology = self.topology.graph();
         trace.record(TraceEvent::TopologyEpoch {
             time,
             epoch: self.trace_epoch,
@@ -629,9 +604,7 @@ impl LifetimeSim {
     /// already-computed state: a metered run is bit-identical to an
     /// unmetered one.
     pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        if let Some(tracker) = &mut self.reconfig {
-            tracker.set_metrics(registry);
-        }
+        self.topology.set_metrics(registry);
         self.metrics = registry
             .is_enabled()
             .then(|| LifetimeMetrics::resolve(registry));
@@ -762,20 +735,9 @@ impl LifetimeSim {
                 // reconfiguration timing.
                 *start = Instant::now();
             }
-            let delta = if self.reconfig.is_some() {
-                let tracker = self.reconfig.as_mut().expect("checked");
-                tracker.set_trace_clock(time);
-                let delta = tracker.kill(&newly_dead);
-                self.apply_topology_delta(&newly_dead, &delta);
-                delta
-            } else {
-                // The rebuild path has no engine-produced delta; diff
-                // the graphs when an observer needs one.
-                let before = self.trace.as_ref().map(|_| self.topology().clone());
-                self.rebuild_topology();
-                self.refresh_routing_and_radii();
-                before.map_or_else(TopologyDelta::default, |b| graph_delta(&b, self.topology()))
-            };
+            self.topology.set_trace_clock(time);
+            let delta = self.topology.kill(&newly_dead);
+            self.apply_topology_delta(&newly_dead, &delta);
             if let (Some(m), Some(start)) = (&self.metrics, &mut phase_start) {
                 m.nanos_reconfig.record(lap(start));
             }
@@ -804,7 +766,7 @@ impl LifetimeSim {
             trace.flush();
         }
         LifetimeReport {
-            policy: self.builder.label(),
+            policy: self.label.clone(),
             seed: self.seed,
             epochs_run: self.epoch,
             first_death: self.first_death,
@@ -834,12 +796,11 @@ impl LifetimeSim {
             out.sort_unstable();
             out
         };
-        let topology = self.reconfig.as_ref().map_or(&self.topology, |t| t.graph());
         trace.record(TraceEvent::TopologyEpoch {
             time,
             epoch: self.trace_epoch,
             live: self.alive_count,
-            edges: topology.edge_count() as u64,
+            edges: self.topology.graph().edge_count() as u64,
             added: canonical(&delta.added),
             removed: canonical(&delta.removed),
         });
@@ -873,26 +834,6 @@ impl LifetimeSim {
         var.sqrt() / mean
     }
 
-    fn rebuild_topology(&mut self) {
-        if self.config.reconfigure {
-            self.topology = self.builder.build_on_survivors(&self.network, &self.alive);
-        } else {
-            // Decay only: strip edges touching the dead.
-            let dead: Vec<NodeId> = self
-                .network
-                .layout()
-                .node_ids()
-                .filter(|u| !self.alive[u.index()])
-                .collect();
-            for u in dead {
-                let neighbors: Vec<NodeId> = self.topology.neighbors(u).collect();
-                for v in neighbors {
-                    self.topology.remove_edge(u, v);
-                }
-            }
-        }
-    }
-
     /// The incremental aftermath of a death epoch: refresh only the state
     /// the edge delta actually touches, and keep every routing tree the
     /// change provably cannot affect.
@@ -916,6 +857,15 @@ impl LifetimeSim {
     /// Rebuilds node `u`'s cached edge-cost row and maintenance radius
     /// from the current topology.
     fn refresh_node_costs_and_radius(&mut self, u: NodeId) {
+        let mut row = std::mem::take(&mut self.edge_costs[u.index()]);
+        self.radius_power[u.index()] = self.price_node(u, &mut row);
+        self.edge_costs[u.index()] = row;
+    }
+
+    /// Prices node `u` on the current topology and alive mask: writes its
+    /// row of priced arcs into `row` and returns its maintenance-radius
+    /// power.
+    fn price_node(&self, u: NodeId, row: &mut Vec<PricedArc>) -> Power {
         let model = *self.network.model();
         let energy = self.config.energy;
         let power_control = self.power_controlled;
@@ -923,9 +873,8 @@ impl LifetimeSim {
         let reliability = &self.reliability;
         let i = u.index();
 
-        let topology = self.reconfig.as_ref().map_or(&self.topology, |t| t.graph());
+        let topology = self.topology.graph();
         let measured = energy.power_basis == PowerBasis::Measured;
-        let row = &mut self.edge_costs[i];
         row.clear();
         let mut farthest: Option<f64> = None;
         for v in topology.neighbors(u) {
@@ -970,7 +919,7 @@ impl LifetimeSim {
 
         // Maintenance radius: max power without topology control; the
         // farthest kept alive neighbor (max power when isolated) with it.
-        self.radius_power[i] = if !self.alive[i] {
+        if !self.alive[i] {
             Power::ZERO
         } else if power_control {
             if measured {
@@ -982,26 +931,7 @@ impl LifetimeSim {
             }
         } else {
             model.max_power()
-        };
-    }
-
-    /// Recomputes the alive-ID cache, every node's edge costs and
-    /// maintenance radius, and drops all routing trees (they are
-    /// recomputed lazily per sending source) — the from-scratch refresh
-    /// used at start-up and by the non-incremental rebuild path.
-    fn refresh_routing_and_radii(&mut self) {
-        self.alive_ids = self
-            .network
-            .layout()
-            .node_ids()
-            .filter(|u| self.alive[u.index()])
-            .collect();
-        self.edge_costs.resize(self.network.len(), Vec::new());
-        for u in 0..self.network.len() as u32 {
-            self.refresh_node_costs_and_radius(NodeId::new(u));
         }
-        // Shortest-path trees are built per source when it first sends.
-        self.routes.reset(self.network.len());
     }
 
     /// Records the first epoch at which the surviving topology stopped
@@ -1010,44 +940,20 @@ impl LifetimeSim {
         if self.partition.is_some() {
             return;
         }
-        if !self.alive_connected() {
+        if !alive_connected(self.topology.graph(), &self.alive) {
             self.partition = Some(self.epoch);
         }
-    }
-
-    /// BFS over alive nodes only.
-    fn alive_connected(&self) -> bool {
-        let alive_total = self.alive_count as usize;
-        if alive_total < 2 {
-            return false;
-        }
-        let start = match self.alive.iter().position(|a| *a) {
-            Some(i) => NodeId::new(i as u32),
-            None => return false,
-        };
-        let mut seen = vec![false; self.alive.len()];
-        seen[start.index()] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut reached = 1usize;
-        while let Some(u) = queue.pop_front() {
-            for v in self.topology().neighbors(u) {
-                if self.alive[v.index()] && !seen[v.index()] {
-                    seen[v.index()] = true;
-                    reached += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        reached == alive_total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PhyPolicy;
     use cbtc_core::CbtcConfig;
     use cbtc_geom::{Alpha, Point2};
     use cbtc_graph::Layout;
+    use cbtc_phy::{PhyProfile, PrrCurve, ShadowingMode};
 
     fn chain(spacing: f64, n: usize) -> Network {
         Network::with_paper_radio(Layout::new(
@@ -1182,5 +1088,167 @@ mod tests {
         .run();
         assert!(report.first_death.is_some());
         assert!(report.delivered_ratio() > 0.5);
+    }
+
+    /// 35 nodes scattered over a 900 × 900 field.
+    fn scattered() -> Network {
+        let mut state = 0xFEED_5EEDu64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pts = (0..35)
+            .map(|_| Point2::new(next() * 900.0, next() * 900.0))
+            .collect();
+        Network::with_paper_radio(Layout::new(pts))
+    }
+
+    /// Every policy on the ideal radio, and through the phy pipeline
+    /// under σ = 6 dB per-direction shadowing with the soft PRR curve
+    /// (directed routing weights, attempts above one).
+    fn builders() -> Vec<Box<dyn TopologyBuilder>> {
+        let mut profile = PhyProfile::shadowed(6.0, 11);
+        profile.shadowing_mode = ShadowingMode::Independent;
+        profile.prr = PrrCurve::paper_transition();
+        let policies = [
+            TopologyPolicy::MaxPower,
+            TopologyPolicy::Cbtc(CbtcConfig::new(Alpha::FIVE_PI_SIXTHS)),
+            TopologyPolicy::Cbtc(CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS)),
+            TopologyPolicy::Cbtc(CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS)),
+        ];
+        policies
+            .into_iter()
+            .flat_map(|policy| -> [Box<dyn TopologyBuilder>; 2] {
+                [Box::new(policy), Box::new(PhyPolicy { policy, profile })]
+            })
+            .collect()
+    }
+
+    /// Runs `builder` on both pricing bases to the end, with and without
+    /// reconfiguration as `reconfigure` lists, calling `check` after
+    /// construction and after every epoch. Returns how many runs died.
+    fn every_epoch(
+        builder: &dyn TopologyBuilder,
+        reconfigure: &[bool],
+        mut check: impl FnMut(&LifetimeSim),
+    ) -> usize {
+        let network = scattered();
+        let mut runs_with_deaths = 0;
+        for &reconfigure in reconfigure {
+            for basis in [PowerBasis::Geometric, PowerBasis::Measured] {
+                let mut config = LifetimeConfig {
+                    initial_energy: 150_000.0,
+                    packets_per_epoch: 20,
+                    max_epochs: 3_000,
+                    reconfigure,
+                    ..LifetimeConfig::paper_default()
+                };
+                config.energy.power_basis = basis;
+                let mut sim = LifetimeSim::with_builder(network.clone(), builder, config, 3);
+                check(&sim);
+                while sim.step() {
+                    check(&sim);
+                }
+                check(&sim);
+                runs_with_deaths += usize::from(sim.first_death.is_some());
+            }
+        }
+        runs_with_deaths
+    }
+
+    /// Selective invalidation ≡ full reset: after every epoch, each
+    /// cached routing tree equals a fresh tree over the current rows
+    /// (parents and `dist` bits), and each priced row, radius and the
+    /// alive-ID cache equal a fresh pricing of the current topology.
+    #[test]
+    fn cached_routing_state_equals_a_fresh_computation_every_epoch() {
+        let bits = |row: &[PricedArc]| -> Vec<(NodeId, u64, u64, u64)> {
+            row.iter()
+                .map(|a| {
+                    let tx = a.tx.linear().to_bits();
+                    (a.to, tx, a.weight.to_bits(), a.attempts.to_bits())
+                })
+                .collect()
+        };
+        let mut scratch = DijkstraScratch::default();
+        let mut fresh_row = Vec::new();
+        let (mut trees, mut kept_through_deaths) = (0usize, 0usize);
+        for builder in builders() {
+            let mut alive_before = u32::MAX;
+            let runs = every_epoch(builder.as_ref(), &[true, false], |sim| {
+                let label = builder.label();
+                let layout = sim.network.layout();
+                let alive: Vec<NodeId> =
+                    layout.node_ids().filter(|u| sim.alive[u.index()]).collect();
+                assert_eq!(sim.alive_ids, alive, "{label}: alive ids");
+                for u in layout.node_ids() {
+                    let radius = sim.price_node(u, &mut fresh_row);
+                    let (i, epoch) = (u.index(), sim.epoch);
+                    assert_eq!(
+                        bits(&sim.edge_costs[i]),
+                        bits(&fresh_row),
+                        "{label}: row of {u} at epoch {epoch}"
+                    );
+                    assert_eq!(
+                        sim.radius_power[i].linear().to_bits(),
+                        radius.linear().to_bits(),
+                        "{label}: radius of {u} at epoch {epoch}"
+                    );
+                }
+                let died = sim.alive_count < alive_before;
+                alive_before = sim.alive_count;
+                for (s, cached) in sim.routes.trees.iter().enumerate() {
+                    let Some(cached) = cached else { continue };
+                    let source = NodeId::new(s as u32);
+                    let fresh = SpTree::compute_on(Rows(&sim.edge_costs), source, &mut scratch);
+                    let dist = |t: &SpTree| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(cached.parent, fresh.parent, "{label}: tree of {source}");
+                    assert_eq!(dist(cached), dist(&fresh), "{label}: tree of {source}");
+                    trees += 1;
+                    kept_through_deaths += usize::from(died);
+                }
+            });
+            assert_eq!(runs, 4, "{}: every run must see deaths", builder.label());
+        }
+        assert!(
+            kept_through_deaths > 1000,
+            "only {kept_through_deaths} of {trees} checked trees survived a death epoch"
+        );
+    }
+
+    /// Without reconfiguration the topology only decays: at every epoch
+    /// it is the builder's initial topology with the dead nodes' edges
+    /// stripped.
+    #[test]
+    fn decay_strips_the_dead_from_the_initial_topology() {
+        let network = scattered();
+        for builder in builders() {
+            // One initial topology per pricing basis.
+            let mut initial: [Option<UndirectedGraph>; 2] = [None, None];
+            let runs = every_epoch(builder.as_ref(), &[false], |sim| {
+                let basis = sim.config.energy.power_basis;
+                let mut expected = initial[usize::from(basis == PowerBasis::Measured)]
+                    .get_or_insert_with(|| builder.build(&network, basis))
+                    .clone();
+                for u in network.layout().node_ids() {
+                    if !sim.alive[u.index()] {
+                        let neighbors: Vec<NodeId> = expected.neighbors(u).collect();
+                        for v in neighbors {
+                            expected.remove_edge(u, v);
+                        }
+                    }
+                }
+                assert_eq!(
+                    sim.topology(),
+                    &expected,
+                    "{} on {basis:?} at epoch {}",
+                    builder.label(),
+                    sim.epoch
+                );
+            });
+            assert_eq!(runs, 2, "{}: every run must see deaths", builder.label());
+        }
     }
 }

@@ -22,10 +22,10 @@
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, NodeEvent};
 use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::Alpha;
+use cbtc_graph::traversal::alive_connected;
 use cbtc_graph::{Layout, NodeId};
 use cbtc_metrics::MetricsRegistry;
 use cbtc_radio::{PathLoss, PowerLaw};
-use cbtc_trace::TraceHandle;
 use cbtc_workloads::{RandomPlacement, RandomWaypoint};
 use serde::{Deserialize, Serialize};
 
@@ -206,13 +206,6 @@ impl MobileLifetimeSim {
         self.topo.set_metrics(registry);
     }
 
-    /// Installs trace hooks on the tracker (per-batch `Reconfig` cost
-    /// samples, clocked in epochs).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.topo.set_trace(trace);
-        self.topo.set_trace_clock(self.epoch as f64);
-    }
-
     /// Whether the maintained graph is bit-identical to a from-scratch
     /// `CBTC(α)` construction over the live nodes at their current
     /// positions — the §4 invariant this scenario exists to exercise
@@ -293,7 +286,6 @@ impl MobileLifetimeSim {
         if !newly_dead.is_empty() && self.first_death.is_none() {
             self.first_death = Some(self.epoch);
         }
-        self.topo.set_trace_clock(self.epoch as f64);
         self.topo.apply(&events);
         self.events = events;
 
@@ -324,35 +316,9 @@ impl MobileLifetimeSim {
         if self.partition.is_some() {
             return;
         }
-        if !self.alive_connected() {
+        if !alive_connected(self.topo.graph(), &self.alive) {
             self.partition = Some(self.epoch);
         }
-    }
-
-    /// BFS over alive nodes only.
-    fn alive_connected(&self) -> bool {
-        let alive_total = self.alive_count as usize;
-        if alive_total < 2 {
-            return false;
-        }
-        let start = match self.alive.iter().position(|a| *a) {
-            Some(i) => NodeId::new(i as u32),
-            None => return false,
-        };
-        let mut seen = vec![false; self.alive.len()];
-        seen[start.index()] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut reached = 1usize;
-        while let Some(u) = queue.pop_front() {
-            for v in self.topo.graph().neighbors(u) {
-                if self.alive[v.index()] && !seen[v.index()] {
-                    seen[v.index()] = true;
-                    reached += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        reached == alive_total
     }
 }
 

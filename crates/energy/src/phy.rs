@@ -19,8 +19,6 @@
 //! phy benchmark's σ = 0 column demonstrates and the property tests
 //! assert.
 
-use std::sync::Arc;
-
 use cbtc_core::phy::{phy_reach_graph, phy_reach_graph_where, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, LinkMetric};
 use cbtc_core::{construct, grow, optimize, CbtcConfig, Network};
@@ -47,71 +45,36 @@ const MIN_LINK_PRR: f64 = 1e-3;
 /// [`PhyProfile`].
 ///
 /// The angle-of-arrival sensor is seeded from the profile, so builds are
-/// reproducible at any thread count.
+/// reproducible at any thread count. The builder prices its own links
+/// ([`PhyLinks`] on the same profile). Under [`PowerBasis::Measured`]
+/// the CBTC construction is *feedback-gated*
+/// ([`cbtc_core::phy::AckGatedChannel`]): a link only enters the
+/// topology if its reverse direction closes at maximum power, because
+/// that is the only way the §2 measurement can ever reach the asker. On
+/// the ideal channel the gate never fires, preserving bit-identity with
+/// the geometric construction.
 #[derive(Debug, Clone, Copy)]
 pub struct PhyPolicy {
     /// The underlying construction rule.
     pub policy: TopologyPolicy,
     /// The channel it runs over.
     pub profile: PhyProfile,
-    /// The power-pricing basis the lifetime engine will run under.
+}
+
+impl PhyPolicy {
+    /// Builds the topology over the surviving subset of `network` from
+    /// scratch, for a run priced on `basis`: the oracle the maintained
+    /// survivor tracker equals at every alive mask.
     ///
-    /// Under [`PowerBasis::Measured`] the CBTC construction is
-    /// *feedback-gated* ([`cbtc_core::phy::AckGatedChannel`]): a link
-    /// only enters the topology if its reverse direction closes at
-    /// maximum power, because that is the only way the §2 measurement
-    /// can ever reach the asker. On the ideal channel the gate never
-    /// fires, preserving bit-identity with the geometric construction.
-    pub basis: PowerBasis,
-}
-
-impl PhyPolicy {
-    /// A policy over `profile` priced on the geometric basis.
-    pub fn geometric(policy: TopologyPolicy, profile: PhyProfile) -> Self {
-        PhyPolicy {
-            policy,
-            profile,
-            basis: PowerBasis::Geometric,
-        }
-    }
-}
-
-impl PhyPolicy {
-    /// The guarded CBTC construction over the profile's channel, on the
-    /// whole network or an alive mask. Under measured pricing the growth
-    /// is feedback-gated and pairwise removal is priced on the plain
-    /// channel, as in [`cbtc_core::phy::run_phy_gated_centralized`].
-    fn cbtc(
+    /// # Panics
+    ///
+    /// Panics if `alive.len()` differs from the network size.
+    pub fn build_on_survivors(
         &self,
         network: &Network,
-        channel: &PhyChannel<'_>,
-        config: &CbtcConfig,
-        alive: Option<&[bool]>,
+        basis: PowerBasis,
+        alive: &[bool],
     ) -> UndirectedGraph {
-        let run = match self.basis {
-            PowerBasis::Geometric => construct(network, channel, config, alive, true),
-            PowerBasis::Measured => {
-                let gated = AckGatedChannel::new(channel, network.max_range());
-                let basic = grow(network, &gated, config.alpha(), alive);
-                optimize(network, channel, config, basic, true)
-            }
-        };
-        run.into_final_graph()
-    }
-}
-
-impl TopologyBuilder for PhyPolicy {
-    fn build(&self, network: &Network) -> UndirectedGraph {
-        let shadowing = self.profile.shadowing();
-        let channel =
-            PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
-        match self.policy {
-            TopologyPolicy::MaxPower => phy_reach_graph(network, &channel),
-            TopologyPolicy::Cbtc(config) => self.cbtc(network, &channel, &config, None),
-        }
-    }
-
-    fn build_on_survivors(&self, network: &Network, alive: &[bool]) -> UndirectedGraph {
         assert_eq!(alive.len(), network.len(), "alive mask size mismatch");
         let shadowing = self.profile.shadowing();
         let channel =
@@ -120,12 +83,50 @@ impl TopologyBuilder for PhyPolicy {
             TopologyPolicy::MaxPower => {
                 phy_reach_graph_where(network, &channel, |u| alive[u.index()])
             }
-            TopologyPolicy::Cbtc(config) => self.cbtc(network, &channel, &config, Some(alive)),
+            TopologyPolicy::Cbtc(config) => cbtc(network, &channel, &config, basis, Some(alive)),
+        }
+    }
+}
+
+/// The guarded CBTC construction over a phy channel, on the whole network
+/// or an alive mask. Under measured pricing the growth is feedback-gated
+/// and pairwise removal is priced on the plain channel, as in
+/// [`cbtc_core::phy::run_phy_gated_centralized`].
+fn cbtc(
+    network: &Network,
+    channel: &PhyChannel<'_>,
+    config: &CbtcConfig,
+    basis: PowerBasis,
+    alive: Option<&[bool]>,
+) -> UndirectedGraph {
+    let run = match basis {
+        PowerBasis::Geometric => construct(network, channel, config, alive, true),
+        PowerBasis::Measured => {
+            let gated = AckGatedChannel::new(channel, network.max_range());
+            let basic = grow(network, &gated, config.alpha(), alive);
+            optimize(network, channel, config, basic, true)
+        }
+    };
+    run.into_final_graph()
+}
+
+impl TopologyBuilder for PhyPolicy {
+    fn build(&self, network: &Network, basis: PowerBasis) -> UndirectedGraph {
+        let shadowing = self.profile.shadowing();
+        let channel =
+            PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
+        match self.policy {
+            TopologyPolicy::MaxPower => phy_reach_graph(network, &channel),
+            TopologyPolicy::Cbtc(config) => cbtc(network, &channel, &config, basis, None),
         }
     }
 
-    fn survivor_tracker(&self, network: &Network) -> Option<Box<dyn SurvivorTracker>> {
-        Some(Box::new(phy_survivor_topology(network, *self)))
+    fn survivor_tracker(&self, network: &Network, basis: PowerBasis) -> Box<dyn SurvivorTracker> {
+        Box::new(phy_survivor_topology(network, *self, basis))
+    }
+
+    fn reliability(&self, network: &Network) -> Box<dyn LinkReliability> {
+        Box::new(PhyLinks::new(*network.model(), &self.profile))
     }
 
     fn power_controlled(&self) -> bool {
@@ -192,12 +193,13 @@ impl LinkMetric for PhyMetric {
 fn phy_survivor_topology(
     network: &Network,
     policy: PhyPolicy,
+    basis: PowerBasis,
 ) -> MetricSurvivorTopology<PhyMetric> {
     let metric = PhyMetric {
         model: *network.model(),
         shadowing: policy.profile.shadowing(),
         sensor: policy.profile.sensor(),
-        gate: (policy.basis == PowerBasis::Measured).then(|| network.max_range()),
+        gate: (basis == PowerBasis::Measured).then(|| network.max_range()),
     };
     match policy.policy {
         TopologyPolicy::MaxPower => {
@@ -285,19 +287,8 @@ pub fn phy_lifetime_experiment(
             let reports = run_trials_with(
                 |seed| generator.generate(seed),
                 |network, seed| {
-                    let trial_profile = profile.with_seed(profile.seed ^ seed);
-                    let links = PhyLinks::new(*network.model(), &trial_profile);
-                    LifetimeSim::with_builder(
-                        network,
-                        Arc::new(PhyPolicy {
-                            policy,
-                            profile: trial_profile,
-                            basis: config.energy.power_basis,
-                        }),
-                        Arc::new(links),
-                        config,
-                        seed,
-                    )
+                    let profile = profile.with_seed(profile.seed ^ seed);
+                    LifetimeSim::with_builder(network, &PhyPolicy { policy, profile }, config, seed)
                 },
                 &seeds,
             );
@@ -366,15 +357,9 @@ mod tests {
         let run = |prr: cbtc_phy::PrrCurve| {
             let mut profile = PhyProfile::ideal();
             profile.prr = prr;
-            let links = PhyLinks::new(*network.model(), &profile);
-            LifetimeSim::with_builder(
-                network.clone(),
-                Arc::new(PhyPolicy::geometric(TopologyPolicy::MaxPower, profile)),
-                Arc::new(links),
-                config,
-                5,
-            )
-            .run()
+            let policy = TopologyPolicy::MaxPower;
+            LifetimeSim::with_builder(network.clone(), &PhyPolicy { policy, profile }, config, 5)
+                .run()
         };
         let hard = run(cbtc_phy::PrrCurve::Perfect);
         let soft = run(cbtc_phy::PrrCurve::paper_transition());

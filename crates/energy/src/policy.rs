@@ -7,7 +7,10 @@
 use cbtc_core::{run_centralized, run_centralized_masked, CbtcConfig, Network};
 use cbtc_graph::unit_disk::unit_disk_graph_where;
 use cbtc_graph::UndirectedGraph;
+use cbtc_radio::PowerBasis;
 use serde::{Deserialize, Serialize};
+
+use crate::{IdealLinks, LinkReliability, SurvivorTopology, SurvivorTracker, TopologyBuilder};
 
 /// The topology-construction rule a network runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,10 +70,10 @@ impl TopologyPolicy {
     /// (§4): survivors rerun the protocol among themselves.
     ///
     /// The run is masked in place ([`run_centralized_masked`]) — no
-    /// survivor layout, sub-network, or ID remap is allocated, so calling
-    /// this every death epoch costs the reconstruction itself and nothing
-    /// more. (The lifetime engine goes further still and patches its
-    /// topology incrementally; see [`crate::SurvivorTopology`].)
+    /// survivor layout, sub-network, or ID remap is allocated. This is
+    /// the from-scratch oracle; the lifetime engine patches its topology
+    /// incrementally instead ([`crate::SurvivorTopology`], equal to this
+    /// at every mask).
     ///
     /// # Panics
     ///
@@ -88,20 +91,19 @@ impl TopologyPolicy {
     }
 }
 
-impl crate::TopologyBuilder for TopologyPolicy {
-    fn build(&self, network: &Network) -> UndirectedGraph {
+/// The ideal radio: the pricing basis changes nothing (every effective
+/// distance is the geometric one) and every link takes one attempt.
+impl TopologyBuilder for TopologyPolicy {
+    fn build(&self, network: &Network, _basis: PowerBasis) -> UndirectedGraph {
         TopologyPolicy::build(self, network)
     }
 
-    fn build_on_survivors(&self, network: &Network, alive: &[bool]) -> UndirectedGraph {
-        TopologyPolicy::build_on_survivors(self, network, alive)
+    fn survivor_tracker(&self, network: &Network, _basis: PowerBasis) -> Box<dyn SurvivorTracker> {
+        Box::new(SurvivorTopology::new(network, *self))
     }
 
-    fn survivor_tracker(
-        &self,
-        network: &Network,
-    ) -> Option<Box<dyn crate::builder::SurvivorTracker>> {
-        Some(Box::new(crate::SurvivorTopology::new(network, *self)))
+    fn reliability(&self, _network: &Network) -> Box<dyn LinkReliability> {
+        Box::new(IdealLinks)
     }
 
     fn power_controlled(&self) -> bool {

@@ -1,21 +1,22 @@
 //! Property tests of incremental survivor reconfiguration: after every
 //! death batch, the patched [`SurvivorTopology`] must equal a
 //! from-scratch [`TopologyPolicy::build_on_survivors`], and a whole
-//! lifetime simulation run incrementally must reproduce the
-//! rebuild-everything run bit for bit — on the ideal radio *and*
-//! through the phy pipeline (shadowed channel, retransmission energy).
+//! lifetime simulation over the maintained tracker must reproduce the
+//! run over a tracker that rebuilds every death epoch, bit for bit — on
+//! the ideal radio *and* through the phy pipeline (shadowed channel,
+//! retransmission energy).
 
-use std::sync::Arc;
+mod common;
 
 use cbtc_core::{CbtcConfig, Network};
 use cbtc_energy::{
-    LifetimeConfig, LifetimeSim, PhyLinks, PhyPolicy, SurvivorTopology, SurvivorTracker,
-    TopologyPolicy,
+    LifetimeConfig, LifetimeSim, PhyPolicy, SurvivorTopology, SurvivorTracker, TopologyPolicy,
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId};
 use cbtc_phy::{PhyProfile, ShadowingMode};
 use cbtc_radio::PowerBasis;
+use common::RebuildEveryEpoch;
 use proptest::prelude::*;
 
 fn policies() -> Vec<TopologyPolicy> {
@@ -108,9 +109,9 @@ proptest! {
     }
 }
 
-/// A full lifetime simulation on the incremental path reproduces the
-/// rebuild-everything path bit for bit — same milestones, same drains,
-/// same delivered counts, same everything.
+/// A full lifetime simulation over the maintained tracker reproduces the
+/// run over the rebuild-every-epoch oracle bit for bit — same
+/// milestones, same drains, same delivered counts, same everything.
 #[test]
 fn lifetime_sim_is_bitwise_equal_across_paths() {
     let mut pts = Vec::new();
@@ -125,32 +126,29 @@ fn lifetime_sim_is_bitwise_equal_across_paths() {
         pts.push(Point2::new(next() * 900.0, next() * 900.0));
     }
     let network = Network::with_paper_radio(Layout::new(pts));
-    let incremental = LifetimeConfig {
+    let config = LifetimeConfig {
         initial_energy: 150_000.0,
         packets_per_epoch: 20,
         max_epochs: 3_000,
         ..LifetimeConfig::paper_default()
     };
-    let full = LifetimeConfig {
-        incremental: false,
-        ..incremental
-    };
     for policy in policies() {
         for seed in [3u64, 17] {
-            let a = LifetimeSim::new(network.clone(), policy, incremental, seed).run();
-            let b = LifetimeSim::new(network.clone(), policy, full, seed).run();
+            let a = LifetimeSim::new(network.clone(), policy, config, seed).run();
+            let oracle = RebuildEveryEpoch(policy);
+            let b = LifetimeSim::with_builder(network.clone(), &oracle, config, seed).run();
             assert_eq!(a, b, "policy {} seed {seed}", policy.label());
             assert!(a.first_death.is_some(), "the run must exercise deaths");
         }
     }
 }
 
-/// The phy lifetime path regained the incremental survivor machinery:
-/// a whole shadowed, soft-PRR lifetime run through the incremental
-/// tracker must reproduce the from-scratch-rebuild run bit for bit —
-/// same milestones, same drains, same delivered counts, same
-/// everything. (The σ = 0 ideal profile is additionally pinned to the
-/// ideal experiment by the in-crate phy tests.)
+/// The phy lifetime path through the maintained survivor tracker: a
+/// whole shadowed, soft-PRR lifetime run must reproduce the run over the
+/// rebuild-every-epoch oracle bit for bit — same milestones, same
+/// drains, same delivered counts, same everything. (The σ = 0 ideal
+/// profile is additionally pinned to the ideal experiment by the
+/// in-crate phy tests.)
 ///
 /// Under per-direction shadowing the routing rows are directed: the
 /// expected attempts (and, on the measured basis, the priced distance)
@@ -171,7 +169,7 @@ fn phy_lifetime_sim_is_bitwise_equal_across_paths() {
         pts.push(Point2::new(next() * 900.0, next() * 900.0));
     }
     let network = Network::with_paper_radio(Layout::new(pts));
-    let mut incremental = LifetimeConfig {
+    let mut config = LifetimeConfig {
         initial_energy: 150_000.0,
         packets_per_epoch: 20,
         max_epochs: 3_000,
@@ -182,30 +180,13 @@ fn phy_lifetime_sim_is_bitwise_equal_across_paths() {
     for mode in [ShadowingMode::Reciprocal, ShadowingMode::Independent] {
         for basis in [PowerBasis::Geometric, PowerBasis::Measured] {
             profile.shadowing_mode = mode;
-            incremental.energy.power_basis = basis;
-            let full = LifetimeConfig {
-                incremental: false,
-                ..incremental
-            };
+            config.energy.power_basis = basis;
             for policy in policies() {
                 for seed in [3u64, 17] {
-                    let run = |config: LifetimeConfig| {
-                        let links = PhyLinks::new(*network.model(), &profile);
-                        LifetimeSim::with_builder(
-                            network.clone(),
-                            Arc::new(PhyPolicy {
-                                policy,
-                                profile,
-                                basis,
-                            }),
-                            Arc::new(links),
-                            config,
-                            seed,
-                        )
-                        .run()
-                    };
-                    let a = run(incremental);
-                    let b = run(full);
+                    let phy = PhyPolicy { policy, profile };
+                    let a = LifetimeSim::with_builder(network.clone(), &phy, config, seed).run();
+                    let oracle = RebuildEveryEpoch(phy);
+                    let b = LifetimeSim::with_builder(network.clone(), &oracle, config, seed).run();
                     let label = policy.label();
                     assert_eq!(a, b, "phy policy {label} seed {seed}, {mode:?} {basis:?}");
                     assert!(a.first_death.is_some(), "the run must exercise deaths");

@@ -3,22 +3,21 @@
 //! * on the ideal channel `Measured` is an exact ×1 — lifetime reports
 //!   and traces reproduce the `Geometric` run bit for bit (the trace
 //!   headers differ only in the declared pricing basis);
-//! * the incremental survivor path under measured pricing reproduces the
-//!   rebuild-everything path bit for bit, through shadowed channels and
-//!   retransmission energy;
+//! * the maintained survivor tracker under measured pricing reproduces
+//!   the rebuild-every-epoch oracle bit for bit, through shadowed
+//!   channels and retransmission energy;
 //! * tracing never perturbs a measured run, and the trace declares its
 //!   basis;
 //! * under σ = 8 dB shadowing with the soft PRR curve, measured pricing
 //!   un-pins the first death that geometric pricing collapses to the
 //!   first epochs (the headline claim, in test form).
 
-use std::sync::Arc;
+mod common;
 
 use cbtc_core::CbtcConfig;
 use cbtc_core::Network;
 use cbtc_energy::{
-    phy_lifetime_experiment, LifetimeConfig, LifetimeReport, LifetimeSim, PhyLinks, PhyPolicy,
-    TopologyPolicy,
+    phy_lifetime_experiment, LifetimeConfig, LifetimeReport, LifetimeSim, PhyPolicy, TopologyPolicy,
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::Layout;
@@ -26,6 +25,7 @@ use cbtc_phy::{PhyProfile, PrrCurve};
 use cbtc_radio::PowerBasis;
 use cbtc_trace::{analyze, parse_trace, MemorySink, TraceHandle};
 use cbtc_workloads::Scenario;
+use common::RebuildEveryEpoch;
 
 fn scattered_network(count: usize, side: f64, seed: u64) -> Network {
     let mut state = seed.max(1);
@@ -69,15 +69,9 @@ fn traced_phy_run(
     seed: u64,
 ) -> (LifetimeReport, String) {
     let (handle, events) = TraceHandle::in_memory();
-    let links = PhyLinks::new(*network.model(), &profile);
     let mut sim = LifetimeSim::with_builder(
         network.clone(),
-        Arc::new(PhyPolicy {
-            policy,
-            profile,
-            basis: config.energy.power_basis,
-        }),
-        Arc::new(links),
+        &PhyPolicy { policy, profile },
         config,
         seed,
     );
@@ -161,38 +155,21 @@ fn ideal_experiment_aggregates_are_identical_across_bases() {
     assert_eq!(geo, mea);
 }
 
-/// Measured pricing through the incremental survivor machinery: a whole
-/// shadowed, soft-PRR lifetime run on the incremental path reproduces the
-/// from-scratch-rebuild run bit for bit.
+/// Measured pricing through the maintained survivor tracker: a whole
+/// shadowed, soft-PRR lifetime run reproduces the run over the
+/// rebuild-every-epoch oracle bit for bit.
 #[test]
 fn measured_lifetime_sim_is_bitwise_equal_across_paths() {
     let network = scattered_network(35, 900.0, 0xFEED);
-    let incremental = fast_config(PowerBasis::Measured);
-    let full = LifetimeConfig {
-        incremental: false,
-        ..incremental
-    };
+    let config = fast_config(PowerBasis::Measured);
     let mut profile = PhyProfile::shadowed(6.0, 11);
     profile.prr = PrrCurve::paper_transition();
     for policy in policies() {
         for seed in [3u64, 17] {
-            let run = |config: LifetimeConfig| {
-                let links = PhyLinks::new(*network.model(), &profile);
-                LifetimeSim::with_builder(
-                    network.clone(),
-                    Arc::new(PhyPolicy {
-                        policy,
-                        profile,
-                        basis: config.energy.power_basis,
-                    }),
-                    Arc::new(links),
-                    config,
-                    seed,
-                )
-                .run()
-            };
-            let a = run(incremental);
-            let b = run(full);
+            let phy = PhyPolicy { policy, profile };
+            let a = LifetimeSim::with_builder(network.clone(), &phy, config, seed).run();
+            let oracle = RebuildEveryEpoch(phy);
+            let b = LifetimeSim::with_builder(network.clone(), &oracle, config, seed).run();
             assert_eq!(a, b, "measured policy {} seed {seed}", policy.label());
             assert!(a.first_death.is_some(), "the run must exercise deaths");
         }
@@ -209,21 +186,8 @@ fn tracing_never_perturbs_a_measured_run() {
     let policy = TopologyPolicy::Cbtc(CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS));
     let config = fast_config(PowerBasis::Measured);
 
-    let untraced = {
-        let links = PhyLinks::new(*network.model(), &profile);
-        LifetimeSim::with_builder(
-            network.clone(),
-            Arc::new(PhyPolicy {
-                policy,
-                profile,
-                basis: config.energy.power_basis,
-            }),
-            Arc::new(links),
-            config,
-            9,
-        )
-        .run()
-    };
+    let untraced =
+        LifetimeSim::with_builder(network.clone(), &PhyPolicy { policy, profile }, config, 9).run();
     let (traced, jsonl) = traced_phy_run(&network, policy, profile, config, 9);
     assert_eq!(untraced, traced, "tracing must not perturb the run");
 

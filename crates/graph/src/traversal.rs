@@ -50,6 +50,50 @@ pub fn is_connected(g: &UndirectedGraph) -> bool {
     g.node_count() == 0 || component_count(g) == 1
 }
 
+/// Whether the nodes with `alive[i]` true induce one connected subgraph
+/// of `g`. Unlike [`is_connected`], fewer than two alive nodes count as
+/// *not* connected: a network of one survivor carries no traffic.
+///
+/// # Panics
+///
+/// Panics if `alive.len()` differs from the graph's node count.
+///
+/// # Example
+///
+/// ```
+/// use cbtc_graph::{NodeId, UndirectedGraph, traversal::alive_connected};
+///
+/// let mut g = UndirectedGraph::new(3);
+/// g.add_edge(NodeId::new(0), NodeId::new(1));
+/// g.add_edge(NodeId::new(1), NodeId::new(2));
+/// assert!(alive_connected(&g, &[true, true, true]));
+/// assert!(!alive_connected(&g, &[true, false, true]));
+/// ```
+pub fn alive_connected(g: &UndirectedGraph, alive: &[bool]) -> bool {
+    assert_eq!(alive.len(), g.node_count(), "alive mask size mismatch");
+    let total = alive.iter().filter(|&&a| a).count();
+    let Some(start) = alive.iter().position(|&a| a) else {
+        return false;
+    };
+    if total < 2 {
+        return false;
+    }
+    let mut seen = vec![false; alive.len()];
+    seen[start] = true;
+    let mut stack = vec![NodeId::new(start as u32)];
+    let mut reached = 1;
+    while let Some(u) = stack.pop() {
+        for v in g.neighbors(u) {
+            if alive[v.index()] && !seen[v.index()] {
+                seen[v.index()] = true;
+                reached += 1;
+                stack.push(v);
+            }
+        }
+    }
+    reached == total
+}
+
 /// A [`UnionFind`] populated with the graph's edges.
 pub fn union_find_of(g: &UndirectedGraph) -> UnionFind {
     let mut uf = UnionFind::new(g.node_count());
@@ -122,6 +166,46 @@ mod tests {
         assert!(is_connected(&UndirectedGraph::new(1)));
         assert!(!is_connected(&UndirectedGraph::new(2)));
         assert!(is_connected(&path_graph(10)));
+    }
+
+    #[test]
+    fn alive_connected_needs_two_alive_nodes() {
+        let g = path_graph(3);
+        assert!(!alive_connected(&UndirectedGraph::new(0), &[]));
+        assert!(!alive_connected(&g, &[false, false, false]));
+        assert!(!alive_connected(&g, &[false, true, false]));
+        assert!(alive_connected(&g, &[true, true, false]));
+    }
+
+    #[test]
+    fn alive_connected_ignores_dead_nodes_and_their_edges() {
+        // 0-1-2-3 plus a chord 0-2: killing 1 keeps {0, 2, 3} connected
+        // through the chord; killing 2 as well cuts 3 off, and a dead
+        // node never relays.
+        let mut g = path_graph(4);
+        g.add_edge(n(0), n(2));
+        assert!(alive_connected(&g, &[true; 4]));
+        assert!(alive_connected(&g, &[true, false, true, true]));
+        assert!(!alive_connected(&g, &[true, false, false, true]));
+        assert!(!alive_connected(&path_graph(3), &[true, false, true]));
+    }
+
+    #[test]
+    fn alive_connected_sees_every_component() {
+        // Two alive components: the search from the first alive node
+        // must not stop at its own component.
+        let mut g = UndirectedGraph::new(5);
+        g.add_edge(n(1), n(2));
+        g.add_edge(n(3), n(4));
+        assert!(!alive_connected(&g, &[false, true, true, true, true]));
+        assert!(alive_connected(&g, &[false, true, true, false, false]));
+        assert!(!alive_connected(&g, &[true, false, false, true, true]));
+    }
+
+    #[test]
+    #[should_panic(expected = "alive mask size mismatch")]
+    fn alive_connected_rejects_a_short_mask() {
+        alive_connected(&path_graph(3), &[true, true]);
     }
 
     #[test]
