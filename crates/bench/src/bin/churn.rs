@@ -20,9 +20,10 @@ use cbtc_bench::Args;
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, NodeEvent};
 use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
 use cbtc_graph::unit_disk::{unit_disk_graph, unit_disk_graph_brute};
+use cbtc_metrics::MetricsRegistry;
 use cbtc_radio::{PathLoss, PowerLaw};
 use cbtc_trace::TraceHandle;
-use cbtc_workloads::{run_churn, run_churn_traced, ChurnReport, ChurnScenario, RandomPlacement};
+use cbtc_workloads::{run_churn, ChurnReport, ChurnScenario, RandomPlacement};
 use serde::Serialize;
 
 /// Grid-vs-brute `G_R` construction timing on the scenario's layout.
@@ -90,7 +91,13 @@ fn bench_trace(
         .unwrap_or_else(|e| panic!("creating {path_str}: {e}"))
         .with_timing(true);
     let t = Instant::now();
-    let traced = run_churn_traced(scenario, seed, None, &handle);
+    let traced = run_churn(
+        scenario,
+        seed,
+        None,
+        &MetricsRegistry::disabled(),
+        Some(&handle),
+    );
     let trace_on_seconds = t.elapsed().as_secs_f64();
     handle.flush();
     assert_eq!(
@@ -276,7 +283,7 @@ fn main() {
     println!();
 
     let start = Instant::now();
-    let report = run_churn(&scenario, seed);
+    let report = run_churn(&scenario, seed, None, &MetricsRegistry::disabled(), None);
     let wall = start.elapsed().as_secs_f64();
 
     for b in &report.bursts {

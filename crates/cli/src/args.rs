@@ -38,6 +38,20 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
+    /// Fails on the first `--flag` whose name is not in `accepted`, a
+    /// space-separated list of flag names.
+    pub fn reject_unknown_flags(&self, accepted: &str) -> Result<(), String> {
+        match self
+            .raw
+            .iter()
+            .filter_map(|a| a.strip_prefix("--"))
+            .find(|&name| !accepted.split_whitespace().any(|f| f == name))
+        {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// The first free-standing argument: not a `--flag`, and not
     /// immediately after one (that slot is the flag's value).
     pub fn positional(&self) -> Option<&str> {
@@ -106,6 +120,18 @@ mod tests {
         );
         assert_eq!(args(&["--out", "x.html"]).positional(), None);
         assert_eq!(args(&[]).positional(), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let a = args(&["--nodes", "5", "--all", "x.json"]);
+        assert!(a.reject_unknown_flags("nodes all").is_ok());
+        let e = a.reject_unknown_flags("nodes").unwrap_err();
+        assert!(e.contains("--all"), "unexpected: {e}");
+        // A negative value is a value, not a flag.
+        assert!(args(&["--alpha", "-1"])
+            .reject_unknown_flags("alpha")
+            .is_ok());
     }
 
     #[test]

@@ -33,7 +33,7 @@ USAGE:
         Build the paper's Figure 2 / Figure 5 point sets, run the algorithm
         on them, and report the witnessed property.
 
-    cbtc compare [--nodes N] [--seed S]
+    cbtc compare [--nodes N] [--width W] [--height H] [--range R] [--seed S]
         Compare every optimization level on one network.
 
     cbtc lifetime [--nodes N] [--width W] [--height H] [--range R]
@@ -77,40 +77,116 @@ USAGE:
 
     cbtc phy [--nodes N] [--sigmas 0,4,8] [--trials T] [--seed S]
              [--alpha 2pi3|<radians>] [--protocol-nodes N] [--no-protocol]
-             [--basis geometric|measured]
+             [--jitter T] [--hello-margin DB] [--basis geometric|measured]
         Sweep log-normal shadowing σ (dB) over random networks: report how
         often CBTC's final graph (after asymmetric-edge removal) preserves
         the connectivity of the symmetric reach graph, link asymmetry,
         power stretch, and the distributed protocol's Hello overhead under
         the full stochastic stack (fading, soft PRR, SINR, CSMA).
-        --basis measured makes protocol repliers carry the forward §2
-        measurement in a max-power MeasuredAck (measured-power pricing).
+        --jitter sets the per-node start jitter (ticks, default 16) of the
+        desynchronized protocol columns; 0 copies the synchronized ones.
+        --hello-margin boosts every Hello broadcast level by DB (default
+        0, the paper's exact schedule). --basis measured makes protocol
+        repliers carry the forward §2 measurement in a max-power
+        MeasuredAck (measured-power pricing).
 
     cbtc serve [--nodes N] [--events E] [--seed S] [--alpha 5pi6|<radians>]
                [--death-per-mille D] [--join-per-mille J] [--max-step L]
-               [--streams S] [--batch-max N] [--batch-wait-us T]
-               [--metrics-every K] [--trace FILE] [--json FILE]
+               [--streams S] [--batch-max N] [--metrics-every K]
+               [--trace FILE] [--json FILE]
         Stream a sustained churn workload (moves, joins, crashes) through
         the §4 incremental engine, like a long-running reconfiguration
         service. --streams shards the field into S spatial strips, each
-        served by its own engine (own worker threads on multi-core
-        hosts). --batch-max / --batch-wait-us turn on group commit: up to
-        N events coalesce per engine commit while the admission window
-        (T µs) is open, taking the engine's mixed-batch path; T = 0 keeps
-        the event-at-a-time service. Batching and sharding never change
-        outcomes — every stream's final graph is verified bit-identical
-        to a from-scratch construction, and the run fails on any
-        integrity violation. Reports aggregate and per-stream events/s,
-        p50/p99/p999 latency per event kind, batch-size distribution and
-        worker utilization. --json writes the full v2 report (per-stream
-        histograms + merged metrics snapshot); --trace streams the run as
-        JSONL, with a metrics checkpoint every K local events per stream
-        (--metrics-every, the live percentile timeline cbtc analyze
-        renders) and a final merged metrics record.
+        served by its own engine (spread over the worker threads the host
+        offers). --batch-max turns on group commit: up to N events
+        coalesce per engine commit, taking the engine's mixed-batch path;
+        N = 1 (the default) keeps the event-at-a-time service. Batching
+        and sharding never change outcomes — every stream's final graph
+        is verified bit-identical to a from-scratch construction, and the
+        run fails on any integrity violation. Reports aggregate and
+        per-stream events/s, p50/p99/p999 latency per event kind,
+        batch-size distribution and worker utilization. --json writes the
+        full v3 report (per-stream histograms + merged metrics snapshot);
+        --trace streams the run as JSONL, with a metrics checkpoint every
+        K local events per stream (--metrics-every, the live percentile
+        timeline cbtc analyze renders) and a final merged metrics record.
 
     cbtc help
         Show this message.
 ";
+
+/// One subcommand: its name, the flags it reads (space-separated, in the
+/// order its `USAGE` block lists them) and its entry point.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        flags: "nodes width height range seed alpha shrink asym pairwise all svg json",
+        run,
+    },
+    Command {
+        name: "construct",
+        flags: "range alpha epsilon svg",
+        run: construct,
+    },
+    Command {
+        name: "compare",
+        flags: "nodes width height range seed",
+        run: compare,
+    },
+    Command {
+        name: "lifetime",
+        flags: "nodes width height range trials seed packets epochs energy pattern no-reconfig \
+                basis",
+        run: lifetime,
+    },
+    Command {
+        name: "churn",
+        flags: "nodes cycles cycle-ticks warmup beacon-interval miss-limit seed speed-min \
+                speed-max pause json phy-sigma trace",
+        run: churn,
+    },
+    Command {
+        name: "replay",
+        flags: "svg html max-frames image-width",
+        run: replay,
+    },
+    Command {
+        name: "analyze",
+        flags: "json",
+        run: analyze,
+    },
+    Command {
+        name: "phy",
+        flags:
+            "nodes sigmas trials seed alpha protocol-nodes no-protocol jitter hello-margin basis",
+        run: phy,
+    },
+    Command {
+        name: "serve",
+        flags: "nodes events seed alpha death-per-mille join-per-mille max-step streams batch-max \
+                metrics-every trace json",
+        run: serve,
+    },
+];
+
+/// Runs the subcommand `name`, first rejecting any `--flag` it does not
+/// read: a misspelt or removed flag fails before the run starts instead
+/// of silently leaving its setting at the default.
+pub fn dispatch(name: &str, args: &Args) -> Result<(), String> {
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\n\n{USAGE}"))?;
+    args.reject_unknown_flags(command.flags)
+        .map_err(|e| format!("{e} for `cbtc {name}` (see cbtc help)"))?;
+    (command.run)(args)
+}
 
 fn build_config(args: &Args, alpha: Alpha) -> Result<CbtcConfig, String> {
     if args.has("all") {
@@ -228,14 +304,9 @@ pub fn run(args: &Args) -> Result<(), String> {
 
 /// `cbtc construct`
 pub fn construct(args: &Args) -> Result<(), String> {
-    let kind = if args.has("theorem24") {
-        "theorem24"
-    } else {
-        "example21"
-    };
     let range: f64 = args.get("range", 500.0)?;
 
-    match kind {
+    match args.positional().unwrap_or("example21") {
         "example21" => {
             let alpha = args.alpha()?;
             let ex = Example21::new(range, alpha).map_err(|e| e.to_string())?;
@@ -276,7 +347,11 @@ pub fn construct(args: &Args) -> Result<(), String> {
             );
             maybe_svg(args, &network, &g, "Theorem 2.4")?;
         }
-        _ => unreachable!("kind is one of the two literals above"),
+        other => {
+            return Err(format!(
+                "unknown construction `{other}` (example21 or theorem24)"
+            ))
+        }
     }
     Ok(())
 }
@@ -500,16 +575,15 @@ pub fn churn(args: &Args) -> Result<(), String> {
         scenario.pause,
     );
 
+    let trace = open_trace(args)?;
     let start = std::time::Instant::now();
-    let report = match args.value_of("trace") {
-        None => cbtc_workloads::run_churn_with(&scenario, seed, phy.as_ref()),
-        Some(path) => {
-            let trace = TraceHandle::to_file(path)
-                .map_err(|e| format!("creating trace {path}: {e}"))?
-                .with_timing(true);
-            cbtc_workloads::run_churn_traced(&scenario, seed, phy.as_ref(), &trace)
-        }
-    };
+    let report = cbtc_workloads::run_churn(
+        &scenario,
+        seed,
+        phy.as_ref(),
+        &cbtc_metrics::MetricsRegistry::disabled(),
+        trace.as_ref(),
+    );
     let wall = start.elapsed().as_secs_f64();
 
     println!(
@@ -591,6 +665,18 @@ pub fn churn(args: &Args) -> Result<(), String> {
         println!("wrote trace {path} (replay/analyze it with cbtc replay / cbtc analyze)");
     }
     Ok(())
+}
+
+/// Opens the `--trace FILE` JSONL sink, wall-clock timing on; `None`
+/// without the flag.
+fn open_trace(args: &Args) -> Result<Option<TraceHandle>, String> {
+    args.value_of("trace")
+        .map(|path| {
+            TraceHandle::to_file(path)
+                .map(|trace| trace.with_timing(true))
+                .map_err(|e| format!("creating trace {path}: {e}"))
+        })
+        .transpose()
 }
 
 /// Parses a comma-separated `--name` list of floats, or the default.
@@ -834,8 +920,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
 }
 
 /// `cbtc serve`: stream a sustained churn workload through the
-/// incremental engine one event at a time and report it like a
-/// production service — throughput, per-kind latency percentiles, and
+/// incremental engine and report it like a production service — throughput, per-kind latency percentiles, and
 /// hard integrity gates (from-scratch bit-identity, monotone
 /// percentiles) that fail the command when violated.
 pub fn serve(args: &Args) -> Result<(), String> {
@@ -864,7 +949,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     if config.batch_max == 0 {
         return Err("--batch-max must be at least 1".into());
     }
-    config.batch_wait_us = args.get("batch-wait-us", config.batch_wait_us)?;
     config.metrics_every = args.get("metrics-every", config.metrics_every)?;
     if config.metrics_every > 0 && args.value_of("trace").is_none() {
         return Err("--metrics-every requires --trace (checkpoints are trace records)".into());
@@ -881,16 +965,14 @@ pub fn serve(args: &Args) -> Result<(), String> {
         1000 - config.death_per_mille - config.join_per_mille,
     );
     println!(
-        "        {} stream{} (spatial shards), group-commit batches of up to {} \
-         (window {} µs{})",
+        "        {} stream{} (spatial shards), group-commit batches of up to {} event{}",
         config.streams,
         if config.streams == 1 { "" } else { "s" },
         config.batch_max,
-        config.batch_wait_us,
-        if config.batch_wait_us == 0 {
-            "; zero window = one event per commit"
+        if config.batch_max == 1 {
+            " (one per commit)"
         } else {
-            ""
+            "s"
         },
     );
 
@@ -899,15 +981,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // detected cores / planned threads / worker busy time in the same
     // snapshot.
     cbtc_core::parallel::install_metrics(&registry);
-    let trace = match args.value_of("trace") {
-        None => None,
-        Some(path) => Some(
-            TraceHandle::to_file(path)
-                .map_err(|e| format!("creating trace {path}: {e}"))?
-                .with_timing(true),
-        ),
-    };
-    let report = cbtc_workloads::run_service_observed(&config, seed, &registry, trace.as_ref());
+    let trace = open_trace(args)?;
+    let report = cbtc_workloads::run_service(&config, seed, &registry, trace.as_ref());
     cbtc_core::parallel::uninstall_metrics();
     if let Some(trace) = &trace {
         trace.flush();
@@ -996,23 +1071,24 @@ pub fn serve(args: &Args) -> Result<(), String> {
         report.stream_workers,
         if report.stream_workers == 1 { "" } else { "s" },
         if report.stream_workers > 1 {
-            "streams ran on their own threads"
+            "streams fanned out over the workers"
         } else if report.streams > 1 {
             "single worker — streams ran sequentially, outcome bit-identical"
         } else {
             "one stream, one worker"
         },
     );
-    // The par.* series are only populated when a re-grow actually fans
-    // out; serial hosts and small affected sets have nothing to report.
+    // The par.* series are only populated when the streams or a re-grow
+    // actually fan out; serial hosts and small affected sets have
+    // nothing to report.
     if report.metrics.counter("par.fan_outs").unwrap_or(0) > 0 {
-        let busy_ms =
-            report.metrics.counter("par.worker_busy_nanos").unwrap_or(0) as f64 / 1_000_000.0;
+        let sum = |name: &str| report.metrics.histogram(name).map_or(0, |h| h.sum);
         println!(
-            "parallel: {} fan-outs, {} worker chunks, {busy_ms:.1} ms total worker busy time \
+            "parallel: {} fan-outs, {} worker chunks, {:.1} ms total worker busy time \
              ({:.0} threads planned)",
             report.metrics.counter("par.fan_outs").unwrap_or(0),
-            report.metrics.counter("par.worker_chunks").unwrap_or(0),
+            sum("par.worker_chunks"),
+            sum("par.worker_busy_nanos") as f64 / 1_000_000.0,
             report.metrics.gauge("par.planned_threads").unwrap_or(1.0),
         );
     }
@@ -1335,7 +1411,59 @@ mod tests {
     #[test]
     fn construct_both_kinds() {
         assert!(construct(&args(&[])).is_ok()); // example21 default
-        assert!(construct(&args(&["--theorem24", "--epsilon", "0.2"])).is_ok());
+        assert!(construct(&args(&["theorem24", "--epsilon", "0.2"])).is_ok());
+        assert!(construct(&args(&["theorem42"])).is_err());
+    }
+
+    /// The flags in `name`'s `USAGE` synopsis: its `cbtc NAME` line plus
+    /// the continuation lines indented past the description column.
+    fn usage_flags(name: &str) -> Vec<String> {
+        let head = format!("    cbtc {name} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no USAGE block for {name}"));
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        std::iter::once(first)
+            .chain(lines.take_while(|l| indent(l) > 8))
+            .flat_map(|l| l.split("--").skip(1))
+            .map(|f| {
+                f.chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_reads() {
+        for command in COMMANDS {
+            let flags: Vec<&str> = command.flags.split_whitespace().collect();
+            assert_eq!(usage_flags(command.name), flags, "cbtc {}", command.name);
+        }
+        // And every command USAGE documents is dispatched.
+        for line in USAGE.lines().filter(|l| l.starts_with("    cbtc ")) {
+            let name = line.split_whitespace().nth(1).unwrap();
+            assert!(
+                name == "help" || COMMANDS.iter().any(|c| c.name == name),
+                "USAGE documents `cbtc {name}`, which dispatch does not know"
+            );
+        }
+    }
+
+    #[test]
+    fn dispatch_rejects_flags_the_command_does_not_read() {
+        for flag in ["--batch-wait-us", "--batch-wiat-us"] {
+            let e = dispatch("serve", &args(&["--nodes", "100", flag, "100"])).unwrap_err();
+            assert!(e.contains(flag), "unexpected: {e}");
+        }
+        // A flag another command reads is still unknown here.
+        assert!(dispatch("compare", &args(&["--all"])).is_err());
+        assert!(dispatch("construct", &args(&["--theorem24"])).is_err());
+        assert!(dispatch("bogus", &args(&[]))
+            .unwrap_err()
+            .contains("unknown command"));
+        assert!(dispatch("compare", &args(&["--nodes", "12"])).is_ok());
     }
 
     #[test]

@@ -27,20 +27,11 @@ fn main() -> ExitCode {
     };
     let args = args::Args::new(rest.to_vec());
     let result = match command.as_str() {
-        "run" => commands::run(&args),
-        "construct" => commands::construct(&args),
-        "compare" => commands::compare(&args),
-        "lifetime" => commands::lifetime(&args),
-        "churn" => commands::churn(&args),
-        "phy" => commands::phy(&args),
-        "serve" => commands::serve(&args),
-        "replay" => commands::replay(&args),
-        "analyze" => commands::analyze(&args),
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n\n{}", commands::USAGE)),
+        name => commands::dispatch(name, &args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

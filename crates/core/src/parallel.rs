@@ -2,9 +2,9 @@
 //!
 //! The container has no rayon; the embarrassingly parallel loops in this
 //! workspace (per-node growth in [`crate::run_basic`], per-seed lifetime
-//! trials in `cbtc-energy`) need nothing more than a chunked fan-out over
-//! `std::thread::scope`, the same pattern `cbtc_energy::runner` already
-//! uses for multi-seed experiments. [`par_map`] packages it once:
+//! trials in `cbtc-energy`, the service's streams in `cbtc-workloads`)
+//! need nothing more than a chunked fan-out over `std::thread::scope`.
+//! [`par_map`] packages it once, and every fan-out goes through it:
 //! deterministic output order, graceful sequential fallback when the input
 //! is small or the machine has a single core, and panic propagation from
 //! worker threads.
@@ -144,9 +144,9 @@ impl Drop for FanOutGuard {
 
 /// Runs `f` with any [`par_map`] it calls on this thread forced inline.
 ///
-/// For callers that hand-roll their own scoped-thread fan-out (the
-/// multi-seed lifetime runner): wrapping each worker's body keeps nested
-/// parallel maps from multiplying threads beyond the core count.
+/// Every [`par_map`] worker runs its items under it, so nested parallel
+/// maps never multiply threads beyond the core count; tests use it to
+/// get the single-threaded run they compare a fanned-out one against.
 pub fn without_nested_fan_out<T>(f: impl FnOnce() -> T) -> T {
     let _guard = FanOutGuard::enter();
     f()

@@ -2,10 +2,10 @@
 //!
 //! A cached single-source shortest-path tree survives a topology change
 //! when recomputing it would provably reproduce it bit-for-bit. The
-//! rules here were proved for the lifetime engine's death epochs and
-//! apply verbatim to any consumer holding an edge delta — the churn
-//! suite's 10k-node stretch probes reuse trees across bursts through
-//! exactly this check.
+//! rules here were proved for the lifetime engine's death epochs, where
+//! positions never change, and apply verbatim to any consumer holding an
+//! edge delta over fixed positions. When positions move, edge weights
+//! move with them and no rule here applies.
 //!
 //! A tree is **reusable** iff
 //!
@@ -15,10 +15,7 @@
 //!    never won a relaxation, so their absence changes nothing);
 //! 3. no *added* edge, priced in either direction, offers any node a
 //!    path at most as cheap as its current one (strictly-worse additions
-//!    never win a relaxation);
-//! 4. no *moved* node is reachable in it (when edge weights are
-//!    position-derived, motion under a reachable node reprices paths —
-//!    pass an empty `moved` slice when weights are position-free).
+//!    never win a relaxation).
 
 use cbtc_graph::paths::{dijkstra_tree, shortest_path_tree, Arcs, DijkstraScratch};
 use cbtc_graph::{NodeId, UndirectedGraph};
@@ -63,8 +60,8 @@ impl SpTree {
     }
 }
 
-/// Whether a cached tree survives the change described by `dead`,
-/// `moved` and `delta` — the four keep rules above, with `weight`
+/// Whether a cached tree survives the change described by `dead` and
+/// `delta` — the three keep rules above, with `weight`
 /// pricing the added edges at the *current* geometry. `weight(u, v)` is
 /// the arc `u → v`; the two directions of an added edge are priced
 /// separately, so directed weights are handled.
@@ -72,22 +69,12 @@ impl SpTree {
 /// When this returns `true`, a recomputation would reproduce the tree
 /// bit-for-bit, so keeping it leaves every downstream arithmetic
 /// unchanged.
-pub fn tree_reusable<W>(
-    tree: &SpTree,
-    dead: &[NodeId],
-    moved: &[NodeId],
-    delta: &TopologyDelta,
-    weight: W,
-) -> bool
+pub fn tree_reusable<W>(tree: &SpTree, dead: &[NodeId], delta: &TopologyDelta, weight: W) -> bool
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
     let reaches_dead = dead.iter().any(|&d| tree.reaches(d));
     if reaches_dead {
-        return false;
-    }
-    let reaches_moved = moved.iter().any(|&m| tree.reaches(m));
-    if reaches_moved {
         return false;
     }
     let lost_tree_edge = delta
@@ -138,7 +125,6 @@ mod tests {
         assert!(tree_reusable(
             &tree,
             &[],
-            &[],
             &TopologyDelta::default(),
             |_, _| 1.0
         ));
@@ -150,33 +136,12 @@ mod tests {
         assert!(!tree_reusable(
             &tree,
             &[n(2)],
-            &[],
             &TopologyDelta::default(),
             |_, _| 1.0
         ));
         // An unreachable death is irrelevant.
         assert!(tree_reusable(
             &tree,
-            &[n(3)],
-            &[],
-            &TopologyDelta::default(),
-            |_, _| 1.0
-        ));
-    }
-
-    #[test]
-    fn reachable_move_invalidates_only_with_position_weights() {
-        let (_, tree) = chain_tree();
-        assert!(!tree_reusable(
-            &tree,
-            &[],
-            &[n(1)],
-            &TopologyDelta::default(),
-            |_, _| 1.0
-        ));
-        assert!(tree_reusable(
-            &tree,
-            &[],
             &[n(3)],
             &TopologyDelta::default(),
             |_, _| 1.0
@@ -190,14 +155,14 @@ mod tests {
             removed: vec![(n(0), n(1))],
             added: vec![],
         };
-        assert!(!tree_reusable(&tree, &[], &[], &lost_tree, |_, _| 1.0));
+        assert!(!tree_reusable(&tree, &[], &lost_tree, |_, _| 1.0));
         // Removing an edge the tree never used (2–3 was never present but
         // the rule only inspects parents) keeps the tree.
         let lost_other = TopologyDelta {
             removed: vec![(n(2), n(3))],
             added: vec![],
         };
-        assert!(tree_reusable(&tree, &[], &[], &lost_other, |_, _| 1.0));
+        assert!(tree_reusable(&tree, &[], &lost_other, |_, _| 1.0));
     }
 
     #[test]
@@ -208,16 +173,16 @@ mod tests {
             added: vec![(n(0), n(2))],
         };
         // Weight 1.0: 0→2 directly (cost 1) beats the cached cost 2.
-        assert!(!tree_reusable(&tree, &[], &[], &added, |_, _| 1.0));
+        assert!(!tree_reusable(&tree, &[], &added, |_, _| 1.0));
         // Weight 10.0: strictly worse, never wins a relaxation.
-        assert!(tree_reusable(&tree, &[], &[], &added, |_, _| 10.0));
+        assert!(tree_reusable(&tree, &[], &added, |_, _| 10.0));
         // An addition that newly connects an unreachable node always
         // invalidates.
         let connects = TopologyDelta {
             removed: vec![],
             added: vec![(n(2), n(3))],
         };
-        assert!(!tree_reusable(&tree, &[], &[], &connects, |_, _| 10.0));
+        assert!(!tree_reusable(&tree, &[], &connects, |_, _| 10.0));
     }
 
     #[test]
@@ -246,7 +211,7 @@ mod tests {
                 added: vec![added],
             };
             assert!(
-                !tree_reusable(&tree, &[], &[], &delta, directed),
+                !tree_reusable(&tree, &[], &delta, directed),
                 "added {added:?} improves node 2 in the 3 → 2 direction"
             );
         }

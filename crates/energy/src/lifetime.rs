@@ -258,8 +258,7 @@ impl RoutingTable {
 
     /// Drops exactly the cached trees a topology change can affect — the
     /// [`tree_reusable`] keep rules (no reachable death, no lost tree
-    /// edge, no improvable addition; positions never change here, so the
-    /// moved-node rule is vacuous). A kept tree is provably what a
+    /// edge, no improvable addition). A kept tree is provably what a
     /// recomputation would produce bit-for-bit, so keeping it leaves the
     /// simulation's arithmetic unchanged.
     fn invalidate_after<W>(&mut self, dead: &[NodeId], delta: &TopologyDelta, weight: W)
@@ -268,7 +267,7 @@ impl RoutingTable {
     {
         for slot in &mut self.trees {
             let Some(tree) = slot else { continue };
-            if !tree_reusable(tree, dead, &[], delta, &weight) {
+            if !tree_reusable(tree, dead, delta, &weight) {
                 *slot = None;
             }
         }

@@ -2,12 +2,12 @@
 //!
 //! The paper's evaluation methodology (§5) averages every measurement
 //! over 100 random networks; lifetime experiments inherit that protocol.
-//! [`run_trials`] fans independent seeds out over `std::thread` workers
-//! (the container has no rayon, and a scoped-thread fan-out is all the
-//! structure this embarrassingly parallel workload needs), and
+//! [`run_trials`] fans independent seeds out through
+//! [`cbtc_core::parallel::par_map`], one trial per item, and
 //! [`aggregate`] reduces the reports to mean / standard deviation / 95%
 //! confidence intervals.
 
+use cbtc_core::parallel::par_map;
 use cbtc_core::Network;
 use cbtc_workloads::{RandomPlacement, Scenario};
 use serde::{Deserialize, Serialize};
@@ -124,42 +124,17 @@ where
 /// generalization the phy experiments use to inject
 /// [`crate::TopologyBuilder`]/[`crate::LinkReliability`] implementations.
 ///
-/// `make_sim` must be deterministic in its inputs (it runs on worker
-/// threads in unspecified order; reports are returned in seed order).
+/// The seeds fan out through [`par_map`], one trial per item, so
+/// [`cbtc_core::parallel::set_thread_cap`] bounds the workers and each
+/// trial's own parallel maps run inline inside a worker. `make_sim` must
+/// be deterministic in its inputs (it runs on worker threads in
+/// unspecified order; reports are returned in seed order).
 pub fn run_trials_with<F, S>(make_network: F, make_sim: S, seeds: &[u64]) -> Vec<LifetimeReport>
 where
     F: Fn(u64) -> Network + Sync,
     S: Fn(Network, u64) -> LifetimeSim + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let chunk_size = seeds.len().div_ceil(threads.max(1)).max(1);
-    let mut reports: Vec<Vec<LifetimeReport>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let make_network = &make_network;
-                let make_sim = &make_sim;
-                scope.spawn(move || {
-                    // This fan-out already claims every core; growth-phase
-                    // parallel maps inside each trial must not multiply it.
-                    cbtc_core::parallel::without_nested_fan_out(|| {
-                        chunk
-                            .iter()
-                            .map(|&seed| make_sim(make_network(seed), seed).run())
-                            .collect::<Vec<LifetimeReport>>()
-                    })
-                })
-            })
-            .collect();
-        for handle in handles {
-            reports.push(handle.join().expect("lifetime worker panicked"));
-        }
-    });
-    reports.into_iter().flatten().collect()
+    par_map(seeds, 1, |&seed| make_sim(make_network(seed), seed).run())
 }
 
 /// Runs a whole lifetime experiment: every policy over the scenario's

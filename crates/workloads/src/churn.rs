@@ -21,25 +21,25 @@
 //!
 //! The suite is built to run at 10⁴–10⁵ nodes: every geometric query goes
 //! through [`cbtc_graph::SpatialGrid`] (the simulator's broadcast delivery
-//! does too), so a probe costs `O(n + |E|)` rather than `O(n²)` — and the
-//! centralized probes are *incremental*: the `G_α` reference is
-//! maintained across bursts by [`DeltaTopology`] (join/crash/waypoint
-//! events in, edge delta out) instead of rebuilt, and the stretch probes
-//! reuse shortest-path trees across bursts under the lifetime engine's
-//! keep rules ([`tree_reusable`]). Both are bit-identical to their
-//! from-scratch counterparts (the in-module equivalence test replays
-//! both modes).
+//! does too), so a probe costs `O(n + |E|)` rather than `O(n²)`. The
+//! centralized `G_α` reference is one [`DeltaTopology`] maintained across
+//! bursts (join/crash/waypoint events in, edge delta out), never rebuilt;
+//! a check compiled only into this crate's tests compares it with a
+//! from-scratch masked construction at every burst and at the horizon.
+//! The stretch probes compute their few shortest-path trees fresh at
+//! every sample: every node moves between samples, so no cached tree
+//! would survive.
 //!
 //! [`ReconfigNode`]: cbtc_core::reconfig::ReconfigNode
 
 use cbtc_core::protocol::GrowthConfig;
-use cbtc_core::reconfig::routing::{tree_reusable, SpTree};
+use cbtc_core::reconfig::routing::SpTree;
 use cbtc_core::reconfig::{
     collect_topology, graph_delta, DeltaTopology, GeometricMetric, NdpConfig, NodeEvent,
     ReconfigNode,
 };
-use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
-use cbtc_geom::{Alpha, Point2};
+use cbtc_core::CbtcConfig;
+use cbtc_geom::Alpha;
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::paths::power_weight;
 use cbtc_graph::unit_disk::unit_disk_graph_where;
@@ -387,7 +387,32 @@ pub fn live_unit_disk(layout: &Layout, radius: f64, live: &[bool]) -> Undirected
 
 /// Runs one churn experiment and reports the measurements.
 ///
-/// Deterministic in `(scenario, seed)`.
+/// * `phy` installs a stochastic physical layer on the simulator
+///   ([`cbtc_sim::Engine::set_phy`]). With [`cbtc_phy::PhyProfile::ideal`]
+///   the report is bit-identical to `None`; with a lossy profile the NDP
+///   beacons, Hellos and Acks experience shadowing, fading, PRR loss and
+///   (per the profile) SINR collisions and CSMA backoff. The probes still
+///   judge reconvergence against the *geometric* live `G_R`: the
+///   measurement is how well §4 maintenance tracks the ideal topology
+///   when its control traffic is lossy.
+/// * `registry` receives the `G_α` reference's `reconfig.*` series —
+///   every burst's event batch: per-kind latency, affected-set sizes,
+///   replay-vs-grid-scan counters — under the same names the lifetime
+///   engine and the reconfiguration service use. Pass
+///   [`MetricsRegistry::disabled`] for none.
+/// * `trace` streams [`TraceEvent`]s: the `Meta` header, per-probe
+///   `Beacon`/`TopologyEpoch` edge deltas and `PrrSnapshot` counters,
+///   engine `Join`/`Death` lifecycle events, `Burst`/`Reconverged`
+///   markers, per-batch `Reconfig` samples from the `G_α` reference, and
+///   `Positions`/`EnergySnapshot` keyframes — at every probe tick up to
+///   2048 total nodes, else only at start, bursts and the horizon (a
+///   10k-node trace stays tens of megabytes, not gigabytes).
+///
+/// Metrics and trace only observe computed state and draw no
+/// randomness: the report is bit-identical with or without them, and —
+/// with the handle's timing off — the recorded trace is byte-identical
+/// across machines and thread counts. Deterministic in
+/// `(scenario, seed, phy)`.
 ///
 /// # Panics
 ///
@@ -396,99 +421,20 @@ pub fn live_unit_disk(layout: &Layout, radius: f64, live: &[bool]) -> Undirected
 /// # Example
 ///
 /// ```
+/// use cbtc_metrics::MetricsRegistry;
 /// use cbtc_workloads::churn::{run_churn, ChurnScenario};
 ///
-/// let report = run_churn(&ChurnScenario::smoke(), 7);
+/// let registry = MetricsRegistry::disabled();
+/// let report = run_churn(&ChurnScenario::smoke(), 7, None, &registry, None);
 /// assert!(!report.samples.is_empty());
 /// assert!(report.traffic.broadcasts > 0);
 /// ```
-pub fn run_churn(scenario: &ChurnScenario, seed: u64) -> ChurnReport {
-    run_churn_with(scenario, seed, None)
-}
-
-/// [`run_churn`] with an optional stochastic physical layer installed on
-/// the engine ([`cbtc_sim::Engine::set_phy`]). With
-/// [`cbtc_phy::PhyProfile::ideal`] the report is **bit-identical** to
-/// [`run_churn`]; with a lossy profile the NDP beacons, Hellos and Acks
-/// experience shadowing, fading, PRR loss and (per the profile) SINR
-/// collisions and CSMA backoff.
-///
-/// Note the probes still judge reconvergence against the *geometric*
-/// live `G_R` — the measurement is how well §4 maintenance tracks the
-/// ideal topology when its control traffic is lossy.
-///
-/// # Panics
-///
-/// Panics if the scenario fails [`ChurnScenario::validate`].
-pub fn run_churn_with(
-    scenario: &ChurnScenario,
-    seed: u64,
-    phy: Option<&cbtc_phy::PhyProfile>,
-) -> ChurnReport {
-    run_churn_impl(scenario, seed, phy, true, None, None)
-}
-
-/// [`run_churn_with`] with a metrics registry installed on the
-/// incremental `G_α` reference: every burst's event batch lands in the
-/// engine's `reconfig.*` series (per-kind latency, affected-set sizes,
-/// replay-vs-grid-scan counters) — the same names the lifetime engine
-/// and the reconfiguration service report through. Purely
-/// observational: the report is **bit-identical** to [`run_churn_with`].
-///
-/// # Panics
-///
-/// Panics if the scenario fails [`ChurnScenario::validate`].
-pub fn run_churn_metered(
+pub fn run_churn(
     scenario: &ChurnScenario,
     seed: u64,
     phy: Option<&cbtc_phy::PhyProfile>,
     registry: &MetricsRegistry,
-) -> ChurnReport {
-    run_churn_impl(scenario, seed, phy, true, None, Some(registry))
-}
-
-/// [`run_churn_with`] with observability hooks installed: the run streams
-/// [`TraceEvent`]s to `trace` — the `Meta` header, per-probe
-/// `Beacon`/`TopologyEpoch` edge deltas and `PrrSnapshot` counters,
-/// engine `Join`/`Death` lifecycle events, `Burst`/`Reconverged` markers,
-/// per-batch `Reconfig` latency samples from the incremental `G_α`
-/// reference, and periodic `Positions`/`EnergySnapshot` keyframes.
-///
-/// The hooks only observe computed state and draw no randomness: the
-/// returned report is **bit-identical** to [`run_churn_with`], and —
-/// with the handle's timing off — the recorded trace is byte-identical
-/// across machines and thread counts.
-///
-/// Position/energy keyframes follow the trace-size policy: every probe
-/// tick up to 2048 total nodes, else only at start, bursts and the
-/// horizon (a 10k-node trace stays tens of megabytes, not gigabytes).
-///
-/// # Panics
-///
-/// Panics if the scenario fails [`ChurnScenario::validate`].
-pub fn run_churn_traced(
-    scenario: &ChurnScenario,
-    seed: u64,
-    phy: Option<&cbtc_phy::PhyProfile>,
-    trace: &TraceHandle,
-) -> ChurnReport {
-    run_churn_impl(scenario, seed, phy, true, Some(trace), None)
-}
-
-/// The suite body, with the centralized-probe strategy explicit:
-/// `incremental_probes` routes the `G_α` reference through
-/// [`DeltaTopology`] and the stretch dijkstras through the
-/// [`tree_reusable`] cache; `false` rebuilds/recomputes everything from
-/// scratch at each probe. The two produce identical reports (up to the
-/// `regrown` accounting field, which *measures* the difference) — the
-/// in-module equivalence test replays both.
-fn run_churn_impl(
-    scenario: &ChurnScenario,
-    seed: u64,
-    phy: Option<&cbtc_phy::PhyProfile>,
-    incremental_probes: bool,
     trace: Option<&TraceHandle>,
-    metrics: Option<&MetricsRegistry>,
 ) -> ChurnReport {
     if let Err(e) = scenario.validate() {
         panic!("invalid churn scenario: {e}");
@@ -544,41 +490,23 @@ fn run_churn_impl(
 
     // The centralized G_α reference: live nodes at current positions,
     // under the scenario's α with no optional optimizations — maintained
-    // across bursts by the incremental engine (or rebuilt from scratch
-    // when validating the incremental path).
+    // across bursts by the incremental engine, whose own `layout()` and
+    // `active()` are the reference's positions and membership.
     let ref_config = CbtcConfig::new(scenario.alpha);
-    let ref_active: Vec<bool> = schedule.start_ticks.iter().map(|&s| s == 0).collect();
-    let mut ref_positions: Vec<Point2> = layout.positions().to_vec();
-    let mut ref_track = if incremental_probes {
-        RefTrack::Incremental(Box::new(DeltaTopology::new(
-            layout.clone(),
-            ref_active.clone(),
-            model.max_range(),
-            ref_config,
-            false,
-            GeometricMetric,
-        )))
-    } else {
-        RefTrack::Scratch {
-            model,
-            config: ref_config,
-            graph: run_centralized_masked(
-                &Network::new(layout.clone(), model),
-                &ref_config,
-                &ref_active,
-            )
-            .into_final_graph(),
-        }
-    };
+    let mut ref_topo = DeltaTopology::new(
+        layout.clone(),
+        schedule.start_ticks.iter().map(|&s| s == 0).collect(),
+        model.max_range(),
+        ref_config,
+        false,
+        GeometricMetric,
+    );
     if let Some(trace) = trace {
-        // Incremental-reference hooks: every `DeltaTopology::apply`
-        // batch records a `Reconfig` cost sample.
-        ref_track.set_trace(trace.clone());
+        // Every `DeltaTopology::apply` batch records a `Reconfig` cost
+        // sample.
+        ref_topo.set_trace(trace.clone());
     }
-    if let Some(registry) = metrics {
-        ref_track.set_metrics(registry);
-    }
-    let mut ref_active = ref_active;
+    ref_topo.set_metrics(registry);
     let mut reference: Vec<ReferenceSample> = Vec::new();
 
     let mut roaming = layout;
@@ -614,7 +542,6 @@ fn run_churn_impl(
     let step = scenario.mobility_dt;
     let mut samples = Vec::new();
     let mut stretch = Vec::new();
-    let mut prober = StretchProber::new(incremental_probes);
     let mut next_probe = 0u64;
     let mut next_stretch = schedule.horizon.min(scenario.warmup);
     let mut live_ticks = 0f64;
@@ -630,7 +557,7 @@ fn run_churn_impl(
     loop {
         engine.run_until(SimTime::new(t));
         if trace.is_some() {
-            ref_track.set_trace_clock(t as f64);
+            ref_topo.set_trace_clock(t as f64);
         }
 
         // Register bursts whose tick has arrived (they just fired inside
@@ -643,41 +570,31 @@ fn run_churn_impl(
         // burst's join/crash events.
         while next_burst < bursts.len() && bursts[next_burst].t <= t {
             let bt = bursts[next_burst].t;
-            let (drift_count, drift_regrown) = settle_reference(
-                &mut ref_track,
-                &mut ref_positions,
-                &ref_active,
-                engine.layout(),
-            );
+            let (drift_count, drift_regrown) = settle_reference(&mut ref_topo, engine.layout());
             if let Some(prev) = reference.last_mut() {
-                prev.preserved = same_partition(&collect_topology(&engine), ref_track.graph());
+                prev.preserved = same_partition(&collect_topology(&engine), ref_topo.graph());
             }
-            let mut events: Vec<NodeEvent> = Vec::new();
-            for &(victim, ct) in &schedule.crashes {
-                if ct == bt && ref_active[victim.index()] {
-                    ref_active[victim.index()] = false;
-                    events.push(NodeEvent::Death(victim));
-                }
-            }
-            // Joiners occupy the slots above the initial population
-            // (crash victims are initial nodes, so a slot freed above
-            // can never re-join here).
-            for u in scenario.initial_nodes..total {
-                if !ref_active[u] && schedule.start_ticks[u] == bt {
-                    let id = NodeId::new(u as u32);
-                    let here = engine.layout().position(id);
-                    ref_active[u] = true;
-                    ref_positions[u] = here;
-                    events.push(NodeEvent::Join(id, here));
-                }
-            }
-            let (edges, regrown) = ref_track.update(&events, &ref_positions, &ref_active);
-            let live_now = ref_active.iter().filter(|a| **a).count() as u32;
+            // Crash victims are initial nodes and joiners occupy the
+            // slots above them, so no node appears twice in a burst.
+            let active = ref_topo.active();
+            let deaths = schedule
+                .crashes
+                .iter()
+                .filter(|&&(victim, ct)| ct == bt && active[victim.index()])
+                .map(|&(victim, _)| NodeEvent::Death(victim));
+            let joins = (scenario.initial_nodes..total)
+                .filter(|&u| !active[u] && schedule.start_ticks[u] == bt)
+                .map(|u| NodeId::new(u as u32))
+                .map(|id| NodeEvent::Join(id, engine.layout().position(id)));
+            let events: Vec<NodeEvent> = deaths.chain(joins).collect();
+            ref_topo.apply(&events);
+            #[cfg(test)]
+            check_reference(&ref_topo, engine.layout(), &schedule, &ref_config, bt);
             reference.push(ReferenceSample {
                 t: bt,
-                live: live_now,
-                edges,
-                regrown: regrown + drift_regrown,
+                live: ref_topo.active().iter().filter(|a| **a).count() as u32,
+                edges: ref_topo.graph().edge_count() as u64,
+                regrown: ref_topo.last_regrown() as u32 + drift_regrown,
                 events: (events.len() + drift_count) as u32,
                 // Judged at the end of this burst's settle window (the
                 // next burst tick or the horizon).
@@ -690,7 +607,7 @@ fn run_churn_impl(
                     crashes: bursts[next_burst].crashes,
                 });
                 if !snap_every_probe {
-                    record_keyframes(trace, &engine, total, t as f64);
+                    record_keyframes(trace, &engine, t as f64);
                 }
             }
             pending.push(next_burst);
@@ -698,10 +615,7 @@ fn run_churn_impl(
         }
 
         if t >= next_probe {
-            let live: Vec<bool> = (0..total as u32)
-                .map(NodeId::new)
-                .map(|u| engine.is_alive(u) && engine.has_started(u))
-                .collect();
+            let live = live_mask(&engine);
             let live_count = live.iter().filter(|&&l| l).count() as u32;
             let topo = collect_topology(&engine);
             let target = live_unit_disk(engine.layout(), model.max_range(), &live);
@@ -764,11 +678,11 @@ fn run_churn_impl(
                     },
                 });
                 if snap_every_probe || t == 0 {
-                    record_keyframes(trace, &engine, total, t as f64);
+                    record_keyframes(trace, &engine, t as f64);
                 }
             }
             if t >= next_stretch {
-                stretch.push(prober.sample(&topo, &target, engine.layout(), &live, t));
+                stretch.push(stretch_sample(&topo, &target, engine.layout(), &live, t));
                 next_stretch = t + scenario.cycle_ticks;
             }
             next_probe = t + probe_interval;
@@ -776,18 +690,15 @@ fn run_churn_impl(
 
         if t >= schedule.horizon {
             // Close out the last burst's settle window at the horizon.
-            settle_reference(
-                &mut ref_track,
-                &mut ref_positions,
-                &ref_active,
-                engine.layout(),
-            );
+            settle_reference(&mut ref_topo, engine.layout());
+            #[cfg(test)]
+            check_reference(&ref_topo, engine.layout(), &schedule, &ref_config, t);
             if let Some(prev) = reference.last_mut() {
-                prev.preserved = same_partition(&collect_topology(&engine), ref_track.graph());
+                prev.preserved = same_partition(&collect_topology(&engine), ref_topo.graph());
             }
             if let Some(trace) = trace {
                 if !snap_every_probe {
-                    record_keyframes(trace, &engine, total, t as f64);
+                    record_keyframes(trace, &engine, t as f64);
                 }
                 trace.flush();
             }
@@ -803,19 +714,13 @@ fn run_churn_impl(
                 engine.move_node(id, p);
             }
         }
-        let live_now = (0..total as u32)
-            .map(NodeId::new)
-            .filter(|&u| engine.is_alive(u) && engine.has_started(u))
-            .count();
+        let live_now = live_mask(&engine).iter().filter(|&&l| l).count();
         live_ticks += live_now as f64 * dt as f64;
         t += dt;
     }
 
     let stats = engine.stats();
-    let live_at_end = (0..total as u32)
-        .map(NodeId::new)
-        .filter(|&u| engine.is_alive(u) && engine.has_started(u))
-        .count() as u32;
+    let live_at_end = live_mask(&engine).iter().filter(|&&l| l).count() as u32;
     let reruns: u64 = engine.nodes().iter().map(|n| u64::from(n.reruns())).sum();
     let reconverged: Vec<u64> = bursts.iter().filter_map(|b| b.reconverged_after).collect();
     ChurnReport {
@@ -849,27 +754,31 @@ fn run_churn_impl(
     }
 }
 
+/// Which nodes are live (started, not crashed) in the simulator.
+fn live_mask(engine: &ChurnEngine) -> Vec<bool> {
+    engine
+        .layout()
+        .node_ids()
+        .map(|u| engine.is_alive(u) && engine.has_started(u))
+        .collect()
+}
+
 /// Emits one `Positions` + `EnergySnapshot` keyframe pair from the
 /// engine's current state. Positions are quantized to 0.01 distance
 /// units — enough for replay rendering, and it keeps large traces from
 /// drowning in 17-digit waypoint coordinates.
-fn record_keyframes(trace: &TraceHandle, engine: &ChurnEngine, total: usize, time: f64) {
+fn record_keyframes(trace: &TraceHandle, engine: &ChurnEngine, time: f64) {
     let quant = |v: f64| (v * 100.0).round() / 100.0;
-    let mut xs = Vec::with_capacity(total);
-    let mut ys = Vec::with_capacity(total);
-    for (_, p) in engine.layout().iter() {
-        xs.push(quant(p.x));
-        ys.push(quant(p.y));
-    }
-    let alive: Vec<bool> = (0..total as u32)
-        .map(NodeId::new)
-        .map(|u| engine.is_alive(u) && engine.has_started(u))
-        .collect();
+    let (xs, ys) = engine
+        .layout()
+        .iter()
+        .map(|(_, p)| (quant(p.x), quant(p.y)))
+        .unzip();
     trace.record(TraceEvent::Positions {
         time,
         xs,
         ys,
-        alive,
+        alive: live_mask(engine),
     });
     trace.record(TraceEvent::EnergySnapshot {
         time,
@@ -878,257 +787,128 @@ fn record_keyframes(trace: &TraceHandle, engine: &ChurnEngine, total: usize, tim
 }
 
 /// Syncs the reference with waypoint drift: feeds a `Move` event for
-/// every active node whose position changed since the last update.
-/// Returns `(moves fed, nodes re-grown)`.
+/// every active node whose position in the simulator's `layout` differs
+/// from the reference's own. Returns `(moves fed, nodes re-grown)`.
 fn settle_reference(
-    track: &mut RefTrack,
-    positions: &mut [Point2],
-    active: &[bool],
+    reference: &mut DeltaTopology<GeometricMetric>,
     layout: &Layout,
 ) -> (usize, u32) {
-    let mut drift: Vec<NodeEvent> = Vec::new();
-    for (u, slot) in positions.iter_mut().enumerate() {
-        if !active[u] {
-            continue;
-        }
-        let here = layout.position(NodeId::new(u as u32));
-        if here != *slot {
-            *slot = here;
-            drift.push(NodeEvent::Move(NodeId::new(u as u32), here));
-        }
-    }
+    let drift: Vec<NodeEvent> = layout
+        .iter()
+        .filter(|&(u, here)| reference.active()[u.index()] && reference.position(u) != here)
+        .map(|(u, here)| NodeEvent::Move(u, here))
+        .collect();
     if drift.is_empty() {
         return (0, 0);
     }
-    let (_, regrown) = track.update(&drift, positions, active);
-    (drift.len(), regrown)
+    reference.apply(&drift);
+    (drift.len(), reference.last_regrown() as u32)
 }
 
-/// The centralized reference track behind the per-burst `G_α` probes:
-/// either the incremental engine or a validation-mode from-scratch
-/// rebuild (identical graphs; the in-module test replays both).
-enum RefTrack {
-    Incremental(Box<DeltaTopology<GeometricMetric>>),
-    Scratch {
-        model: PowerLaw,
-        config: CbtcConfig,
-        graph: UndirectedGraph,
-    },
+/// Test-only oracle behind every burst update and the horizon settle:
+/// the maintained reference equals a from-scratch masked `CBTC(α)` over
+/// the simulator's own positions and the membership `schedule` implies
+/// at tick `t` (started, not yet crashed). Neither input passes through
+/// the event bookkeeping of [`run_churn`].
+#[cfg(test)]
+fn check_reference(
+    reference: &DeltaTopology<GeometricMetric>,
+    layout: &Layout,
+    schedule: &ChurnSchedule,
+    config: &CbtcConfig,
+    t: u64,
+) {
+    let mut members: Vec<bool> = schedule.start_ticks.iter().map(|&s| s <= t).collect();
+    for &(victim, ct) in &schedule.crashes {
+        if ct <= t {
+            members[victim.index()] = false;
+        }
+    }
+    let network = cbtc_core::Network::new(layout.clone(), PowerLaw::paper_default());
+    let scratch = cbtc_core::run_centralized_masked(&network, config, &members).into_final_graph();
+    assert_eq!(
+        reference.active(),
+        &members[..],
+        "reference membership at t={t}"
+    );
+    assert!(
+        *reference.graph() == scratch,
+        "reference G_α differs from scratch at t={t}"
+    );
+    tests::ORACLE_CHECKS.set(tests::ORACLE_CHECKS.get() + 1);
 }
 
-impl RefTrack {
-    /// Applies one burst's events and returns `(edges, regrown)` of the
-    /// updated reference.
-    fn update(
-        &mut self,
-        events: &[NodeEvent],
-        positions: &[Point2],
-        active: &[bool],
-    ) -> (u64, u32) {
-        match self {
-            RefTrack::Incremental(engine) => {
-                engine.apply(events);
-                (
-                    engine.graph().edge_count() as u64,
-                    engine.last_regrown() as u32,
-                )
-            }
-            RefTrack::Scratch {
-                model,
-                config,
-                graph,
-            } => {
-                let network = Network::new(Layout::new(positions.to_vec()), *model);
-                *graph = run_centralized_masked(&network, config, active).into_final_graph();
-                (
-                    graph.edge_count() as u64,
-                    active.iter().filter(|a| **a).count() as u32,
-                )
-            }
-        }
-    }
-
-    fn graph(&self) -> &UndirectedGraph {
-        match self {
-            RefTrack::Incremental(engine) => engine.graph(),
-            RefTrack::Scratch { graph, .. } => graph,
-        }
-    }
-
-    /// Installs observability hooks on the incremental engine (the
-    /// scratch mode has no per-batch cost to sample).
-    fn set_trace(&mut self, trace: TraceHandle) {
-        if let RefTrack::Incremental(engine) = self {
-            engine.set_trace(trace);
-        }
-    }
-
-    /// Advances the clock stamped onto recorded `Reconfig` samples.
-    fn set_trace_clock(&mut self, time: f64) {
-        if let RefTrack::Incremental(engine) = self {
-            engine.set_trace_clock(time);
-        }
-    }
-
-    /// Installs metrics on the incremental engine (the scratch mode has
-    /// no per-batch cost to sample).
-    fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        if let RefTrack::Incremental(engine) = self {
-            engine.set_metrics(registry);
-        }
-    }
-}
-
-/// One graph's cached shortest-path trees at the last stretch probe.
-struct TreeSide {
-    graph: UndirectedGraph,
-    /// `(source, tree)` sorted by source.
-    trees: Vec<(NodeId, SpTree)>,
-}
-
-/// Snapshot of the world at the last stretch probe, for the keep rules.
-struct ProbeState {
-    positions: Vec<Point2>,
-    live: Vec<bool>,
-    topo: TreeSide,
-    target: TreeSide,
-}
-
-/// Power-stretch prober: Dijkstra under the power weight `d²` from a few
+/// Power-stretch probe: Dijkstra under the power weight `d²` from a few
 /// spread sources in both graphs, ratio per destination reachable in
-/// both — with the lifetime engine's selective tree invalidation ported
-/// so trees are *reused* across probes whenever the keep rules
-/// ([`tree_reusable`]: no reachable death or move, no lost tree edge, no
-/// improvable added edge) prove a recomputation would reproduce them
-/// bit-for-bit.
-struct StretchProber {
-    reuse: bool,
-    state: Option<ProbeState>,
-}
-
-impl StretchProber {
-    fn new(reuse: bool) -> Self {
-        StretchProber { reuse, state: None }
-    }
-
-    fn sample(
-        &mut self,
-        topo: &UndirectedGraph,
-        target: &UndirectedGraph,
-        layout: &Layout,
-        live: &[bool],
-        t: u64,
-    ) -> StretchSample {
-        const SOURCES: usize = 4;
-        let exponent = 2.0;
-        let weight = power_weight(layout, exponent);
-
-        // Carry over every cached tree the keep rules prove intact.
-        let (mut topo_trees, mut target_trees) = match (&self.state, self.reuse) {
-            (Some(prev), true) => {
-                let moved: Vec<NodeId> = layout
-                    .node_ids()
-                    .filter(|u| layout.position(*u) != prev.positions[u.index()])
-                    .collect();
-                let gone: Vec<NodeId> = layout
-                    .node_ids()
-                    .filter(|u| prev.live[u.index()] && !live[u.index()])
-                    .collect();
-                let keep = |side: &TreeSide, current: &UndirectedGraph| -> Vec<(NodeId, SpTree)> {
-                    let delta = graph_delta(&side.graph, current);
-                    side.trees
-                        .iter()
-                        .filter(|(_, tree)| tree_reusable(tree, &gone, &moved, &delta, &weight))
-                        .map(|(s, tree)| (*s, tree.clone()))
-                        .collect()
-                };
-                (keep(&prev.topo, topo), keep(&prev.target, target))
+/// both. The trees are computed fresh: every node moves between samples,
+/// so no tree from the previous sample would still be valid.
+fn stretch_sample(
+    topo: &UndirectedGraph,
+    target: &UndirectedGraph,
+    layout: &Layout,
+    live: &[bool],
+    t: u64,
+) -> StretchSample {
+    const SOURCES: usize = 4;
+    let weight = power_weight(layout, 2.0);
+    let live_ids: Vec<NodeId> = layout.node_ids().filter(|u| live[u.index()]).collect();
+    let picked: Vec<NodeId> = (0..SOURCES.min(live_ids.len()))
+        .map(|i| live_ids[i * live_ids.len() / SOURCES.min(live_ids.len()).max(1)])
+        .collect();
+    let mut pairs = 0u64;
+    let mut unreachable = 0u64;
+    let mut sum = 0.0;
+    let mut max = 0.0f64;
+    for &s in &picked {
+        let d_sub = SpTree::compute(topo, s, &weight, |_| true);
+        let d_full = SpTree::compute(target, s, &weight, |_| true);
+        for &v in &live_ids {
+            if v == s {
+                continue;
             }
-            _ => (Vec::new(), Vec::new()),
-        };
-
-        let live_ids: Vec<NodeId> = layout.node_ids().filter(|u| live[u.index()]).collect();
-        let picked: Vec<NodeId> = (0..SOURCES.min(live_ids.len()))
-            .map(|i| live_ids[i * live_ids.len() / SOURCES.min(live_ids.len()).max(1)])
-            .collect();
-        let mut pairs = 0u64;
-        let mut unreachable = 0u64;
-        let mut sum = 0.0;
-        let mut max = 0.0f64;
-        for &s in &picked {
-            let d_sub = tree_for(&mut topo_trees, topo, s, &weight);
-            let d_full = tree_for(&mut target_trees, target, s, &weight);
-            for &v in &live_ids {
-                if v == s {
-                    continue;
+            let a = d_sub.dist[v.index()];
+            let b = d_full.dist[v.index()];
+            if a.is_finite() && b.is_finite() {
+                if b > 0.0 {
+                    pairs += 1;
+                    let ratio = a / b;
+                    sum += ratio;
+                    max = max.max(ratio);
                 }
-                let a = d_sub.dist[v.index()];
-                let b = d_full.dist[v.index()];
-                if a.is_finite() && b.is_finite() {
-                    if b > 0.0 {
-                        pairs += 1;
-                        let ratio = a / b;
-                        sum += ratio;
-                        max = max.max(ratio);
-                    }
-                } else if !a.is_finite() && b.is_finite() {
-                    unreachable += 1;
-                }
+            } else if !a.is_finite() && b.is_finite() {
+                unreachable += 1;
             }
         }
-
-        self.state = Some(ProbeState {
-            positions: layout.positions().to_vec(),
-            live: live.to_vec(),
-            topo: TreeSide {
-                graph: topo.clone(),
-                trees: topo_trees,
-            },
-            target: TreeSide {
-                graph: target.clone(),
-                trees: target_trees,
-            },
-        });
-
-        StretchSample {
-            t,
-            sources: picked.len() as u32,
-            pairs,
-            power_mean: if pairs > 0 { sum / pairs as f64 } else { 1.0 },
-            power_max: if pairs > 0 { max } else { 1.0 },
-            unreachable,
-        }
     }
-}
-
-/// The cached-or-computed tree for `source`, memoized into `cache`.
-fn tree_for<'c, W>(
-    cache: &'c mut Vec<(NodeId, SpTree)>,
-    graph: &UndirectedGraph,
-    source: NodeId,
-    weight: &W,
-) -> &'c SpTree
-where
-    W: Fn(NodeId, NodeId) -> f64,
-{
-    let at = match cache.binary_search_by_key(&source, |(s, _)| *s) {
-        Ok(i) => i,
-        Err(i) => {
-            let tree = SpTree::compute(graph, source, weight, |_| true);
-            cache.insert(i, (source, tree));
-            i
-        }
-    };
-    &cache[at].1
+    StretchSample {
+        t,
+        sources: picked.len() as u32,
+        pairs,
+        power_mean: if pairs > 0 { sum / pairs as f64 } else { 1.0 },
+        power_max: if pairs > 0 { max } else { 1.0 },
+        unreachable,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    std::thread_local! {
+        /// How many times `check_reference` ran on this thread.
+        pub(super) static ORACLE_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The smoke scenario with no metrics and no trace.
+    fn smoke(seed: u64, phy: Option<&cbtc_phy::PhyProfile>) -> ChurnReport {
+        let registry = MetricsRegistry::disabled();
+        run_churn(&ChurnScenario::smoke(), seed, phy, &registry, None)
+    }
 
     #[test]
     fn smoke_scenario_runs_and_reconverges() {
-        let report = run_churn(&ChurnScenario::smoke(), 3);
+        let report = smoke(3, None);
         assert_eq!(report.bursts.len(), 2);
         assert!(report.traffic.broadcasts > 0);
         assert!(report.traffic.deliveries > 0);
@@ -1145,16 +925,16 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run_churn(&ChurnScenario::smoke(), 11);
-        let b = run_churn(&ChurnScenario::smoke(), 11);
+        let a = smoke(11, None);
+        let b = smoke(11, None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn metered_churn_is_bit_identical_and_counts_burst_events() {
-        let plain = run_churn(&ChurnScenario::smoke(), 3);
+        let plain = smoke(3, None);
         let registry = MetricsRegistry::enabled();
-        let metered = run_churn_metered(&ChurnScenario::smoke(), 3, None, &registry);
+        let metered = run_churn(&ChurnScenario::smoke(), 3, None, &registry, None);
         assert_eq!(plain, metered, "metrics must not perturb the run");
         let snap = registry.snapshot();
         let batches = snap.counter("reconfig.batches").unwrap();
@@ -1174,29 +954,46 @@ mod tests {
 
     #[test]
     fn incremental_probes_match_from_scratch_probes() {
-        // The G_α reference through DeltaTopology and the stretch
-        // dijkstras through the tree cache must reproduce the
-        // from-scratch probes bit for bit. `regrown` measures the
-        // incremental work and differs by design; everything else —
-        // reference edges, partition agreement, every stretch float —
-        // must be identical.
-        let scenario = ChurnScenario::smoke();
+        // `run_churn` checks the maintained G_α reference against a
+        // from-scratch masked construction at every burst and at the
+        // horizon settle (`check_reference`, compiled only into tests).
+        // Counting the checks keeps the oracle from going silent.
         for seed in [3u64, 11] {
-            let strip = |mut r: ChurnReport| {
-                for s in &mut r.reference {
-                    s.regrown = 0;
-                }
-                r
-            };
-            let inc = strip(run_churn_impl(&scenario, seed, None, true, None, None));
-            let scratch = strip(run_churn_impl(&scenario, seed, None, false, None, None));
-            assert_eq!(inc, scratch, "seed {seed}");
+            ORACLE_CHECKS.set(0);
+            let report = smoke(seed, None);
+            assert_eq!(
+                ORACLE_CHECKS.get(),
+                report.bursts.len() + 1,
+                "seed {seed}: one check per burst plus the horizon"
+            );
         }
     }
 
     #[test]
+    fn traced_and_metered_churn_is_bit_identical() {
+        // Trace and metrics together: the report still equals the bare
+        // run, and every reference batch the registry counted left one
+        // `Reconfig` record in the trace.
+        let plain = smoke(7, None);
+        let registry = MetricsRegistry::enabled();
+        let (handle, sink) = TraceHandle::in_memory();
+        let observed = run_churn(&ChurnScenario::smoke(), 7, None, &registry, Some(&handle));
+        assert_eq!(plain, observed, "hooks must not perturb the run");
+        let events = sink.lock().unwrap();
+        let reconfigs = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Reconfig { .. }))
+            .count() as u64;
+        assert!(reconfigs > 0, "the reference recorded no batches");
+        assert_eq!(
+            registry.snapshot().counter("reconfig.batches"),
+            Some(reconfigs)
+        );
+    }
+
+    #[test]
     fn reference_probe_tracks_every_burst() {
-        let report = run_churn(&ChurnScenario::smoke(), 3);
+        let report = smoke(3, None);
         assert_eq!(report.reference.len(), report.bursts.len());
         for s in &report.reference {
             assert!(s.live > 0);
@@ -1218,8 +1015,8 @@ mod tests {
     #[test]
     fn ideal_phy_churn_is_bit_identical() {
         let ideal = cbtc_phy::PhyProfile::ideal();
-        let a = run_churn(&ChurnScenario::smoke(), 11);
-        let b = run_churn_with(&ChurnScenario::smoke(), 11, Some(&ideal));
+        let a = smoke(11, None);
+        let b = smoke(11, Some(&ideal));
         assert_eq!(a, b, "σ = 0 / PRR = 1 churn must replay the ideal run");
     }
 
@@ -1230,9 +1027,9 @@ mod tests {
         // that drew from any of the run's RNG streams — or perturbed
         // the burst/settle schedule — would show up here.
         let profile = cbtc_phy::PhyProfile::realistic(4.0, 3);
-        let plain = run_churn_with(&ChurnScenario::smoke(), 7, Some(&profile));
+        let plain = smoke(7, Some(&profile));
         let registry = MetricsRegistry::enabled();
-        let metered = run_churn_metered(&ChurnScenario::smoke(), 7, Some(&profile), &registry);
+        let metered = run_churn(&ChurnScenario::smoke(), 7, Some(&profile), &registry, None);
         assert_eq!(plain, metered, "metrics must not perturb the lossy run");
         let snap = registry.snapshot();
         assert!(
@@ -1244,7 +1041,7 @@ mod tests {
     #[test]
     fn lossy_phy_churn_still_mostly_reconverges() {
         let profile = cbtc_phy::PhyProfile::realistic(4.0, 3);
-        let report = run_churn_with(&ChurnScenario::smoke(), 3, Some(&profile));
+        let report = smoke(3, Some(&profile));
         assert!(report.traffic.broadcasts > 0);
         // Lossy control traffic degrades but must not collapse §4
         // maintenance on the small smoke scenario.
@@ -1253,14 +1050,14 @@ mod tests {
             "connectivity fraction {} under lossy phy",
             report.connectivity_fraction
         );
-        let ideal = run_churn(&ChurnScenario::smoke(), 3);
+        let ideal = smoke(3, None);
         assert_ne!(report, ideal, "a lossy channel must change the run");
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run_churn(&ChurnScenario::smoke(), 1);
-        let b = run_churn(&ChurnScenario::smoke(), 2);
+        let a = smoke(1, None);
+        let b = smoke(2, None);
         assert_ne!(a.samples, b.samples);
     }
 

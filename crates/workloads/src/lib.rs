@@ -19,8 +19,8 @@
 //! | [`Scenario`], [`RandomPlacement`] | §5's experimental setup (100 × 100 nodes, 1500², R = 500) |
 //! | [`GridPlacement`], [`ClusteredPlacement`] | the dense/sparse regimes §1 motivates, beyond §5 |
 //! | [`RandomWaypoint`] | the motion model for §4 reconfiguration experiments |
-//! | [`churn`] | the §4 protocol *measured* under sustained mobility, joins and crashes at 10k+ nodes (`cbtc-churn`) |
-//! | [`service`] | the §4 maintenance loop served as a sharded, group-commit-batched stream with throughput and latency percentiles (`cbtc serve`) |
+//! | [`churn`] | the §4 protocol *measured* under sustained mobility, joins and crashes at 10k+ nodes, judged against a centralized `G_α` that one `DeltaTopology` maintains (`cbtc churn`, [`run_churn`]) |
+//! | [`service`] | the §4 maintenance loop served as a sharded stream, group-committed in batches of up to `batch_max`, with throughput and latency percentiles (`cbtc serve`, [`run_service`]) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,15 +35,11 @@ pub mod churn;
 pub mod phy;
 pub mod service;
 
-pub use churn::{
-    run_churn, run_churn_metered, run_churn_traced, run_churn_with, ChurnReport, ChurnScenario,
-};
+pub use churn::{run_churn, ChurnReport, ChurnScenario};
 pub use clustered::ClusteredPlacement;
 pub use grid::GridPlacement;
 pub use mobility::RandomWaypoint;
 pub use phy::{phy_construction_probe, phy_protocol_probe, PhyConstructionStats, PhyProtocolStats};
 pub use random::RandomPlacement;
 pub use scenario::Scenario;
-pub use service::{
-    run_service, run_service_observed, stream_plan, ServiceConfig, ServiceReport, StreamReport,
-};
+pub use service::{run_service, stream_plan, ServiceConfig, ServiceReport, StreamReport};

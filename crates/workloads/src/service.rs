@@ -4,16 +4,17 @@
 //! ROADMAP item 3's serving story, grown into a sharded, batched
 //! pipeline:
 //!
-//! * **Group-commit admission** — arriving events are coalesced into
-//!   mixed batches of up to `batch_max` under the `batch_wait_us`
-//!   admission window, committed through `apply`'s mixed-batch path
-//!   instead of one call per event. A batch is cut early when the next
-//!   event concerns a node already in it (the engine requires one event
-//!   per node per batch); the conflicting event opens the next batch.
-//!   Every event in a batch observes the batch's commit latency — the
-//!   group-commit trade: amortized throughput for a bounded latency
-//!   spread. With `batch_wait_us = 0` the window is closed and the
-//!   service degrades to the event-at-a-time driver of schema v1.
+//! * **Group commit** — the stream's events are coalesced into mixed
+//!   batches of up to `batch_max`, committed through `apply`'s
+//!   mixed-batch path instead of one call per event. A batch is cut early
+//!   when the next event concerns a node already in it (the engine
+//!   requires one event per node per batch); the conflicting event opens
+//!   the next batch. Every event in a batch observes the batch's commit
+//!   latency — the group-commit trade: amortized throughput for a bounded
+//!   latency spread. `batch_max = 1` commits event at a time, as
+//!   schema v1 did. The generator is closed-loop (the next event is always
+//!   ready), so batch size is the only batching knob; there is no
+//!   admission window to wait out.
 //! * **Sharded multi-stream serving** — `streams > 1` runs that many
 //!   independent engines over spatially partitioned sub-fields (equal
 //!   vertical strips, equal density), each with its own deterministic
@@ -31,7 +32,7 @@
 //!
 //! | §4 notion | here |
 //! |-----------|------|
-//! | reconfiguration ops arrive one at a time | the admission window batches them; Theorem 4.1's "equals a full re-run" holds per *batch*, so the commit point sees the same graph as op-at-a-time application |
+//! | reconfiguration ops arrive one at a time | group commit batches them; Theorem 4.1's "equals a full re-run" holds per *batch*, so the commit point sees the same graph as op-at-a-time application |
 //! | ops at distinct nodes commute | the batch cut on node conflict is exactly the non-commuting case: two ops at one node must order through separate batches |
 //!
 //! The stream mix is deterministic in the seed: weighted `Move`
@@ -45,7 +46,7 @@
 
 use std::time::Instant;
 
-use cbtc_core::parallel::{detected_cores, effective_parallelism, without_nested_fan_out};
+use cbtc_core::parallel::{detected_cores, par_map, planned_threads};
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, NodeEvent};
 use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
@@ -85,17 +86,11 @@ pub struct ServiceConfig {
     /// Fraction of slots that start in the standby pool (inactive,
     /// available to `Join`).
     pub standby_fraction: f64,
-    /// Most events one group commit may coalesce (≥ 1). Only consulted
-    /// when the admission window is open (`batch_wait_us > 0`).
+    /// Most events one group commit may coalesce; `1` commits every
+    /// event alone, the schema-v1 behavior (`0` is treated as `1`). The
+    /// generator is closed-loop, so each batch fills to `batch_max` or to
+    /// the first event whose node is already aboard.
     pub batch_max: u32,
-    /// Group-commit admission window in microseconds. `0` closes the
-    /// window: every event commits alone, the schema-v1 behavior. In
-    /// this closed-loop harness the arrival queue is always backlogged,
-    /// so any open window fills each batch to `batch_max` (or to the
-    /// first node conflict) — the window's *length* models the latency
-    /// budget an online deployment would trade and is carried into the
-    /// report verbatim.
-    pub batch_wait_us: u64,
     /// Independent sharded engines ( ≥ 1). See [`stream_plan`] for how
     /// slots, field and events partition.
     pub streams: u32,
@@ -111,8 +106,8 @@ impl ServiceConfig {
     /// scaled so the max-power graph keeps an average degree of ≈ 18
     /// under the paper's radio (`R = 500`) — the same density the churn
     /// suite uses — with a 5 % standby pool and a 90/5/5 move/death/join
-    /// mix. Batching and sharding default off (`batch_wait_us = 0`,
-    /// one stream), reproducing the schema-v1 single-stream run.
+    /// mix. Batching and sharding default off (`batch_max = 1`, one
+    /// stream), reproducing the schema-v1 single-stream run.
     pub fn sized(nodes: usize, events: u64) -> Self {
         let range = PowerLaw::paper_default().max_range();
         let side = (nodes as f64 * std::f64::consts::PI * range * range / 18.0).sqrt();
@@ -127,7 +122,6 @@ impl ServiceConfig {
             max_step: 50.0,
             standby_fraction: 0.05,
             batch_max: 1,
-            batch_wait_us: 0,
             streams: 1,
             metrics_every: 0,
         }
@@ -223,7 +217,8 @@ impl StreamReport {
 /// The outcome of a service run: aggregate throughput, merged per-kind
 /// latency percentiles, per-stream shares, final-state integrity, and
 /// the merged metrics snapshot. This is the `BENCH_reconfig.json`
-/// schema (v2; v1 was the single-stream, event-at-a-time report).
+/// schema (v3; v2 also recorded an admission-window length that batching
+/// never consulted, v1 was the single-stream, event-at-a-time report).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Schema version of this report.
@@ -234,14 +229,13 @@ pub struct ServiceReport {
     pub events: u64,
     /// Streams served.
     pub streams: u32,
-    /// The group-commit size cap the run was admitted under.
+    /// The group-commit size cap (`1` = event-at-a-time).
     pub batch_max: u32,
-    /// The admission window (µs); `0` means event-at-a-time.
-    pub batch_wait_us: u64,
     /// Hardware cores visible to the run.
     pub detected_cores: u32,
-    /// Stream worker threads the run actually used (`1` when streams
-    /// ran sequentially — single-core hosts, or one stream).
+    /// Worker threads the stream fan-out planned:
+    /// [`planned_threads`]`(streams, 1)`, so `1` when the streams ran
+    /// sequentially — one stream, one core, or a thread cap of one.
     pub stream_workers: u32,
     /// Wall-clock seconds from first admission to last commit (streams
     /// overlap, so this is the *aggregate* window, not a sum).
@@ -283,18 +277,32 @@ impl ServiceReport {
     }
 }
 
-/// Runs the service without external observability installed (the
-/// report's own latency series are always measured).
-pub fn run_service(config: &ServiceConfig, seed: u64) -> ServiceReport {
-    run_service_observed(config, seed, &MetricsRegistry::disabled(), None)
-}
-
-/// Event kinds, for latency routing.
+/// Event kinds; a kind's discriminant indexes its count and its
+/// latency series in [`SERIES`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Move,
     Join,
     Death,
+}
+
+/// The latency series of every report, in report order: one per
+/// [`Kind`], then every event (`all`), per-commit nanos (`batch`) and
+/// events per commit (`batch_size`).
+const SERIES: [&str; 6] = ["move", "join", "death", "all", "batch", "batch_size"];
+const ALL: usize = 3;
+const BATCH: usize = 4;
+const BATCH_SIZE: usize = 5;
+
+/// One [`LogHistogram`] per entry of [`SERIES`].
+type Series = [LogHistogram; 6];
+
+fn snapshots(series: &Series) -> Vec<HistogramSnapshot> {
+    SERIES
+        .iter()
+        .zip(series)
+        .map(|(name, hist)| HistogramSnapshot::of(name, hist))
+        .collect()
 }
 
 /// The deterministic event source of one stream. It owns the membership
@@ -353,16 +361,10 @@ impl EventGen {
 /// exactly into the aggregate), counts, its integrity verdict, its
 /// metrics shard and the periodic checkpoint snapshots.
 struct StreamOutcome {
-    moves: u64,
-    joins: u64,
-    deaths: u64,
+    /// Events applied, by [`Kind`].
+    counts: [u64; 3],
     batches: u64,
-    hist_move: LogHistogram,
-    hist_join: LogHistogram,
-    hist_death: LogHistogram,
-    hist_all: LogHistogram,
-    hist_batch: LogHistogram,
-    hist_batch_size: LogHistogram,
+    series: Series,
     elapsed_secs: f64,
     events: u64,
     nodes: u32,
@@ -381,20 +383,13 @@ impl StreamOutcome {
             stream,
             nodes: self.nodes,
             events: self.events,
-            moves: self.moves,
-            joins: self.joins,
-            deaths: self.deaths,
+            moves: self.counts[Kind::Move as usize],
+            joins: self.counts[Kind::Join as usize],
+            deaths: self.counts[Kind::Death as usize],
             batches: self.batches,
             elapsed_secs: self.elapsed_secs,
             events_per_sec: self.events as f64 / self.elapsed_secs.max(f64::MIN_POSITIVE),
-            latency: vec![
-                HistogramSnapshot::of("move", &self.hist_move),
-                HistogramSnapshot::of("join", &self.hist_join),
-                HistogramSnapshot::of("death", &self.hist_death),
-                HistogramSnapshot::of("all", &self.hist_all),
-                HistogramSnapshot::of("batch", &self.hist_batch),
-                HistogramSnapshot::of("batch_size", &self.hist_batch_size),
-            ],
+            latency: snapshots(&self.series),
             final_active: self.final_active,
             final_edges: self.final_edges,
             matches_scratch: self.matches_scratch,
@@ -459,22 +454,11 @@ fn run_stream(
         max_step: config.max_step,
     };
 
-    let cap = if config.batch_wait_us == 0 {
-        1
-    } else {
-        config.batch_max.max(1) as usize
-    };
+    let cap = config.batch_max.max(1) as usize;
     let mut outcome = StreamOutcome {
-        moves: 0,
-        joins: 0,
-        deaths: 0,
+        counts: [0; 3],
         batches: 0,
-        hist_move: LogHistogram::new(),
-        hist_join: LogHistogram::new(),
-        hist_death: LogHistogram::new(),
-        hist_all: LogHistogram::new(),
-        hist_batch: LogHistogram::new(),
-        hist_batch_size: LogHistogram::new(),
+        series: Series::default(),
         elapsed_secs: 0.0,
         events: config.events,
         nodes: config.nodes as u32,
@@ -519,26 +503,14 @@ fn run_stream(
         topo.apply(&batch);
         let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         outcome.batches += 1;
-        outcome.hist_batch.record(nanos);
-        outcome.hist_batch_size.record(batch.len() as u64);
+        outcome.series[BATCH].record(nanos);
+        outcome.series[BATCH_SIZE].record(batch.len() as u64);
         for &kind in &kinds {
             // Group commit: each coalesced event observes its batch's
             // commit latency.
-            match kind {
-                Kind::Move => {
-                    outcome.moves += 1;
-                    outcome.hist_move.record(nanos);
-                }
-                Kind::Join => {
-                    outcome.joins += 1;
-                    outcome.hist_join.record(nanos);
-                }
-                Kind::Death => {
-                    outcome.deaths += 1;
-                    outcome.hist_death.record(nanos);
-                }
-            }
-            outcome.hist_all.record(nanos);
+            outcome.counts[kind as usize] += 1;
+            outcome.series[kind as usize].record(nanos);
+            outcome.series[ALL].record(nanos);
         }
         let before = done;
         done += batch.len() as u64;
@@ -559,24 +531,29 @@ fn run_stream(
     outcome
 }
 
-/// [`run_service`] with observability: every stream's `reconfig.*`
-/// series land in a per-stream registry shard, merged (with `registry`'s
-/// own snapshot — the home of the process-wide `par.*` fan-out series)
-/// into the report's `metrics`. When a trace is supplied the run streams
-/// a `Meta` header, every engine's per-commit `Reconfig` samples
-/// (stamped with the stream's local event clock), periodic
+/// Runs the service: every stream of `config` (see [`stream_plan`])
+/// through its own engine, merged into one report. The report's own
+/// latency series are always measured.
+///
+/// Every stream's `reconfig.*` series land in a per-stream registry
+/// shard, merged (with `registry`'s own snapshot — the home of the
+/// process-wide `par.*` fan-out series) into the report's `metrics`;
+/// pass [`MetricsRegistry::disabled`] for none. When a trace is supplied
+/// the run streams a `Meta` header, every engine's per-commit `Reconfig`
+/// samples (stamped with the stream's local event clock), periodic
 /// [`TraceEvent::Metrics`] checkpoints (`metrics_every > 0`, metrics
 /// enabled) in ascending local-time order, and the final merged
 /// [`TraceEvent::Metrics`] record.
 ///
-/// Streams run on their own worker threads when the host has more than
-/// one core (`stream_workers` in the report says what happened);
-/// otherwise sequentially. Either way the outcome is bit-identical:
-/// streams share nothing but the trace sink, and each stream's
-/// substream is deterministic in the seed (see [`stream_plan`]). Inside
-/// a stream worker the engine's own re-grow fan-out runs inline
-/// (workers are already one-per-core); in single-stream mode the
-/// engine fans re-grows across the cores itself.
+/// Streams fan out through [`par_map`], one stream per item, on
+/// [`planned_threads`]`(streams, 1)` workers (`stream_workers` in the
+/// report), so [`cbtc_core::parallel::set_thread_cap`] applies. The
+/// outcome is bit-identical at any worker count: streams share nothing
+/// but the trace sink, and each stream's substream is deterministic in
+/// the seed.
+/// Inside a stream worker the engine's own re-grow fan-out runs inline
+/// (the workers already own the cores); when the streams run inline —
+/// one stream, or one worker — the engine fans re-grows out itself.
 ///
 /// The hooks only observe: the maintained graphs, the event streams,
 /// and every report field except the wall-clock timings are
@@ -587,7 +564,7 @@ fn run_stream(
 /// Panics on a config with no streams, fewer than two node slots or one
 /// event per stream, non-positive field dimensions, or an event mix
 /// exceeding 1000 per mille.
-pub fn run_service_observed(
+pub fn run_service(
     config: &ServiceConfig,
     seed: u64,
     registry: &MetricsRegistry,
@@ -629,43 +606,18 @@ pub fn run_service_observed(
         });
     }
 
-    let plans: Vec<(ServiceConfig, u64)> =
-        (0..streams).map(|s| stream_plan(config, seed, s)).collect();
-    let parallel = streams > 1 && effective_parallelism() > 1;
+    let plans: Vec<(u32, ServiceConfig, u64)> = (0..streams)
+        .map(|s| {
+            let (plan, stream_seed) = stream_plan(config, seed, s);
+            (s, plan, stream_seed)
+        })
+        .collect();
+    let stream_workers = planned_threads(plans.len(), 1);
     let metrics_enabled = registry.is_enabled();
     let start = Instant::now();
-    let outcomes: Vec<StreamOutcome> = if parallel {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .iter()
-                .enumerate()
-                .map(|(s, (plan, stream_seed))| {
-                    scope.spawn(move || {
-                        // A stream worker already owns its core; its
-                        // engine's re-grow fan-outs run inline.
-                        without_nested_fan_out(|| {
-                            run_stream(plan, *stream_seed, s as u32, metrics_enabled, trace)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    } else {
-        plans
-            .iter()
-            .enumerate()
-            .map(|(s, (plan, stream_seed))| {
-                run_stream(plan, *stream_seed, s as u32, metrics_enabled, trace)
-            })
-            .collect()
-    };
+    let outcomes: Vec<StreamOutcome> = par_map(&plans, 1, |(s, plan, stream_seed)| {
+        run_stream(plan, *stream_seed, *s, metrics_enabled, trace)
+    });
     let elapsed_secs = start.elapsed().as_secs_f64();
 
     // Periodic checkpoints, ascending by local event time (ties by
@@ -692,27 +644,19 @@ pub fn run_service_observed(
 
     // Exact shard merges: histograms bucket-merge, counters add, the
     // caller's registry contributes the process-wide series (par.*).
-    let mut hist_move = LogHistogram::new();
-    let mut hist_join = LogHistogram::new();
-    let mut hist_death = LogHistogram::new();
-    let mut hist_all = LogHistogram::new();
-    let mut hist_batch = LogHistogram::new();
-    let mut hist_batch_size = LogHistogram::new();
+    let mut series = Series::default();
     let mut metrics = registry.snapshot();
-    let (mut moves, mut joins, mut deaths, mut batches) = (0u64, 0u64, 0u64, 0u64);
+    let (mut counts, mut batches) = ([0u64; 3], 0u64);
     let (mut final_active, mut final_edges) = (0u32, 0u64);
     let mut matches_scratch = true;
     for o in &outcomes {
-        hist_move.merge(&o.hist_move);
-        hist_join.merge(&o.hist_join);
-        hist_death.merge(&o.hist_death);
-        hist_all.merge(&o.hist_all);
-        hist_batch.merge(&o.hist_batch);
-        hist_batch_size.merge(&o.hist_batch_size);
+        for (total, shard) in series.iter_mut().zip(&o.series) {
+            total.merge(shard);
+        }
         metrics.merge(&o.snapshot);
-        moves += o.moves;
-        joins += o.joins;
-        deaths += o.deaths;
+        for (total, shard) in counts.iter_mut().zip(o.counts) {
+            *total += shard;
+        }
         batches += o.batches;
         final_active += o.final_active;
         final_edges += o.final_edges;
@@ -727,32 +671,20 @@ pub fn run_service_observed(
     }
 
     ServiceReport {
-        schema_version: 2,
+        schema_version: 3,
         nodes: config.nodes as u32,
         events: config.events,
         streams,
         batch_max: config.batch_max,
-        batch_wait_us: config.batch_wait_us,
         detected_cores: detected_cores() as u32,
-        stream_workers: if parallel {
-            (effective_parallelism() as u32).min(streams)
-        } else {
-            1
-        },
+        stream_workers: stream_workers as u32,
         elapsed_secs,
         events_per_sec: config.events as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-        moves,
-        joins,
-        deaths,
+        moves: counts[Kind::Move as usize],
+        joins: counts[Kind::Join as usize],
+        deaths: counts[Kind::Death as usize],
         batches,
-        latency: vec![
-            HistogramSnapshot::of("move", &hist_move),
-            HistogramSnapshot::of("join", &hist_join),
-            HistogramSnapshot::of("death", &hist_death),
-            HistogramSnapshot::of("all", &hist_all),
-            HistogramSnapshot::of("batch", &hist_batch),
-            HistogramSnapshot::of("batch_size", &hist_batch_size),
-        ],
+        latency: snapshots(&series),
         per_stream: outcomes
             .into_iter()
             .enumerate()
@@ -777,6 +709,11 @@ mod tests {
         }
     }
 
+    /// A run with no metrics and no trace.
+    fn bare(config: &ServiceConfig, seed: u64) -> ServiceReport {
+        run_service(config, seed, &MetricsRegistry::disabled(), None)
+    }
+
     /// Strips the wall-clock fields, leaving only the deterministic
     /// part of a report.
     fn deterministic(report: &ServiceReport) -> ServiceReport {
@@ -794,7 +731,7 @@ mod tests {
 
     #[test]
     fn stream_mixes_kinds_and_matches_scratch() {
-        let report = run_service(&small(), 9);
+        let report = bare(&small(), 9);
         assert_eq!(report.moves + report.joins + report.deaths, 400);
         assert!(report.moves > 0 && report.joins > 0 && report.deaths > 0);
         assert!(report.matches_scratch, "maintained graph drifted");
@@ -810,18 +747,17 @@ mod tests {
         assert_eq!(sizes.max, 1);
         // Membership conservation: every slot is active or standby.
         assert!(report.final_active >= (small().nodes / 2) as u32);
-        assert_eq!(report.schema_version, 2);
+        assert_eq!(report.schema_version, 3);
         assert_eq!(report.per_stream.len(), 1);
         assert_eq!(report.stream_workers, 1);
     }
 
     #[test]
     fn batched_run_is_bit_identical_and_coalesces() {
-        let sequential = run_service(&small(), 9);
-        let batched = run_service(
+        let sequential = bare(&small(), 9);
+        let batched = bare(
             &ServiceConfig {
                 batch_max: 16,
-                batch_wait_us: 200,
                 ..small()
             },
             9,
@@ -842,14 +778,12 @@ mod tests {
         bat.batches = 0;
         seq.batch_max = 0;
         bat.batch_max = 0;
-        seq.batch_wait_us = 0;
-        bat.batch_wait_us = 0;
         for r in seq.per_stream.iter_mut().chain(bat.per_stream.iter_mut()) {
             r.batches = 0;
         }
         assert_eq!(seq, bat);
         let sizes = batched.latency_for("batch_size").unwrap();
-        assert!(sizes.max > 1, "open window must form multi-event batches");
+        assert!(sizes.max > 1, "batch_max > 1 must form multi-event batches");
         assert!(sizes.max <= 16, "cap respected");
     }
 
@@ -859,7 +793,7 @@ mod tests {
             streams: 3,
             ..ServiceConfig::sized(90, 300)
         };
-        let report = run_service(&config, 5);
+        let report = bare(&config, 5);
         assert_eq!(report.per_stream.len(), 3);
         assert_eq!(report.moves + report.joins + report.deaths, 300);
         assert!(report.matches_scratch, "some stream drifted");
@@ -870,7 +804,7 @@ mod tests {
         // Each stream is exactly the standalone run of its plan.
         for (s, stream_report) in report.per_stream.iter().enumerate() {
             let (plan, stream_seed) = stream_plan(&config, 5, s as u32);
-            let standalone = run_service(&plan, stream_seed);
+            let standalone = bare(&plan, stream_seed);
             assert_eq!(standalone.per_stream.len(), 1);
             let mut solo = standalone.per_stream[0].clone();
             let mut shard = stream_report.clone();
@@ -911,11 +845,11 @@ mod tests {
 
     #[test]
     fn observed_run_is_deterministically_identical_and_counts_events() {
-        let plain = run_service(&small(), 4);
+        let plain = bare(&small(), 4);
 
         let registry = MetricsRegistry::enabled();
         let (handle, sink) = TraceHandle::in_memory();
-        let report = run_service_observed(&small(), 4, &registry, Some(&handle));
+        let report = run_service(&small(), 4, &registry, Some(&handle));
         assert_eq!(deterministic(&report), {
             let mut p = deterministic(&plain);
             p.metrics = report.metrics.clone();
@@ -954,12 +888,11 @@ mod tests {
         let config = ServiceConfig {
             metrics_every: 100,
             batch_max: 8,
-            batch_wait_us: 100,
             ..small()
         };
         let registry = MetricsRegistry::enabled();
         let (handle, sink) = TraceHandle::in_memory();
-        let report = run_service_observed(&config, 11, &registry, Some(&handle));
+        let report = run_service(&config, 11, &registry, Some(&handle));
         assert!(report.matches_scratch);
         let jsonl = MemorySink::to_jsonl(&sink.lock().unwrap());
         let events = cbtc_trace::parse_trace(&jsonl).unwrap();
@@ -989,7 +922,7 @@ mod tests {
 
     #[test]
     fn report_json_round_trips() {
-        let report = run_service(&small(), 2);
+        let report = bare(&small(), 2);
         let json = serde_json::to_string(&report).unwrap();
         let back: ServiceReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

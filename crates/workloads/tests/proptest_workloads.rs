@@ -5,8 +5,8 @@ use cbtc_geom::Point2;
 use cbtc_graph::Layout;
 use cbtc_metrics::MetricsRegistry;
 use cbtc_workloads::{
-    run_service, run_service_observed, stream_plan, ClusteredPlacement, GridPlacement,
-    RandomPlacement, RandomWaypoint, ServiceConfig, ServiceReport,
+    run_service, stream_plan, ClusteredPlacement, GridPlacement, RandomPlacement, RandomWaypoint,
+    ServiceConfig, ServiceReport,
 };
 use proptest::prelude::*;
 
@@ -32,7 +32,6 @@ fn grouping_free(report: &ServiceReport) -> ServiceReport {
     let mut r = deterministic(report);
     r.batches = 0;
     r.batch_max = 0;
-    r.batch_wait_us = 0;
     r.stream_workers = 0;
     for s in &mut r.per_stream {
         s.batches = 0;
@@ -141,16 +140,18 @@ proptest! {
         batch_idx in 0usize..3,
     ) {
         let streams = [1u32, 2, 4][streams_idx];
-        let (batch_max, batch_wait_us) = [(1u32, 0u64), (4, 50), (32, 200)][batch_idx];
+        let batch_max = [1u32, 4, 32][batch_idx];
         let config = ServiceConfig {
             death_per_mille: death,
             join_per_mille: join,
             streams,
             batch_max,
-            batch_wait_us,
             ..ServiceConfig::sized(96, 240)
         };
-        let report = run_service(&config, seed);
+        let bare = |config: &ServiceConfig, seed| {
+            run_service(config, seed, &MetricsRegistry::disabled(), None)
+        };
+        let report = bare(&config, seed);
         prop_assert!(report.matches_scratch, "a stream drifted from scratch");
         prop_assert_eq!(report.moves + report.joins + report.deaths, 240);
         for s in &report.per_stream {
@@ -158,16 +159,13 @@ proptest! {
         }
 
         // Batching changes commit grouping, never outcomes.
-        let sequential = run_service(
-            &ServiceConfig { batch_max: 1, batch_wait_us: 0, ..config },
-            seed,
-        );
+        let sequential = bare(&ServiceConfig { batch_max: 1, ..config }, seed);
         prop_assert_eq!(grouping_free(&report), grouping_free(&sequential));
 
         // Shard equivalence: each stream is its standalone plan.
         for s in 0..streams {
             let (plan, stream_seed) = stream_plan(&config, seed, s);
-            let solo = run_service(&plan, stream_seed);
+            let solo = bare(&plan, stream_seed);
             let mut lone = solo.per_stream[0].clone();
             let mut shard = report.per_stream[s as usize].clone();
             lone.stream = s;
@@ -181,7 +179,7 @@ proptest! {
         }
 
         // Observability is inert.
-        let observed = run_service_observed(&config, seed, &MetricsRegistry::enabled(), None);
+        let observed = run_service(&config, seed, &MetricsRegistry::enabled(), None);
         prop_assert_eq!(deterministic(&observed), deterministic(&report));
     }
 }

@@ -16,8 +16,17 @@
 # operation failed. So the script builds PARENT_REV into the target
 # directory and runs every workload x seed there first (storing the
 # parent's fingerprints), then builds the working tree into the same
-# directory and runs the same list again. It fails if any run prints a
-# "differs" line, reports "correct": false, or reports failed > 0.
+# directory and runs the same list again. Each run lands in one class:
+#
+#   FINGERPRINT DIFFERS  it printed a "differs" line (outputs changed)
+#   INCORRECT            "correct": false, or no result line at all
+#   OPS FAILED           correct and matching, but failed > 0 (a serve run
+#                        whose events missed the latency limit on a busy
+#                        host, say)
+#   ok
+#
+# An OPS FAILED run is rerun once and the rerun's class is kept; the
+# other two fail the A/B at once. The summary counts each class.
 set -euo pipefail
 
 parent=${1:?usage: scripts/fingerprint_ab.sh PARENT_REV}
@@ -33,24 +42,41 @@ mkdir "$work/parent"
 git -C "$repo" archive "$parent" | tar -x -C "$work/parent"
 rm -rf "$target/release/pipeline-bench-fingerprints"
 
-status=0
+declare -A count=([ok]=0 ["FINGERPRINT DIFFERS"]=0 [INCORRECT]=0 ["OPS FAILED"]=0)
+
+# Runs one workload x seed, leaving its stderr in $log and its class in
+# $verdict.
+run_one() {
+    local w=$1 s=$2 line
+    # A run that crashes leaves no result line and counts as incorrect.
+    line=$("$target/release/cbtc-pipeline-bench" --workload "$w" --seed "$s" \
+        --seconds "$seconds" --trace 0 2>"$log" | tail -n 1) || line=
+    if grep -q differs "$log"; then
+        verdict="FINGERPRINT DIFFERS"
+    elif ! grep -q '"correct": true' <<<"$line"; then
+        verdict=INCORRECT
+    elif ! grep -q '"failed": 0,' <<<"$line"; then
+        verdict="OPS FAILED"
+    else
+        verdict=ok
+    fi
+}
+
 run_side() {
-    local side=$1 manifest=$2
+    local side=$1 manifest=$2 log verdict note n
     CARGO_TARGET_DIR=$target cargo build --quiet --release --offline --manifest-path "$manifest"
     for w in $workloads; do
         for s in $seeds; do
-            local log=$work/$side-$w-$s.log line
-            # A run that crashes leaves no result line and counts as failed.
-            line=$("$target/release/cbtc-pipeline-bench" --workload "$w" --seed "$s" \
-                --seconds "$seconds" --trace 0 2>"$log" | tail -n 1) || line=
-            local verdict=ok
-            if grep -q differs "$log"; then
-                verdict="FINGERPRINT DIFFERS"
-            elif ! grep -q '"correct": true' <<<"$line" || ! grep -q '"failed": 0,' <<<"$line"; then
-                verdict="FAILED"
+            log=$work/$side-$w-$s.log
+            note=
+            run_one "$w" "$s"
+            if [ "$verdict" = "OPS FAILED" ]; then
+                note="(rerun after OPS FAILED) "
+                run_one "$w" "$s"
             fi
-            [ "$verdict" = ok ] || status=1
-            printf '%-6s %-13s seed %-3s %-20s %s\n' "$side" "$w" "$s" "$verdict" \
+            n=${count[$verdict]}
+            count[$verdict]=$((n + 1))
+            printf '%-6s %-13s seed %-3s %-20s %s%s\n' "$side" "$w" "$s" "$verdict" "$note" \
                 "$(grep -o 'fingerprint .*' "$log" | tail -n 1)"
         done
     done
@@ -58,6 +84,11 @@ run_side() {
 
 run_side parent "$work/parent/pipeline-bench/Cargo.toml"
 run_side change "$repo/pipeline-bench/Cargo.toml"
-[ "$status" = 0 ] && echo "fingerprint A/B: every run matched its parent, nothing failed" \
-    || echo "fingerprint A/B: FAILED"
-exit "$status"
+summary="${count[ok]} ok, ${count[FINGERPRINT DIFFERS]} fingerprint differs, \
+${count[INCORRECT]} incorrect, ${count[OPS FAILED]} ops failed"
+if [ "${count[ok]}" = $((2 * $(wc -w <<<"$workloads") * $(wc -w <<<"$seeds"))) ]; then
+    echo "fingerprint A/B: every run matched its parent, nothing failed ($summary)"
+else
+    echo "fingerprint A/B: FAILED ($summary)"
+    exit 1
+fi

@@ -73,9 +73,11 @@
 //! random-waypoint motion with node joins and crash-stops, at 10k+ nodes:
 //!
 //! ```
+//! use cbtc::metrics::MetricsRegistry;
 //! use cbtc::workloads::churn::{run_churn, ChurnScenario};
 //!
-//! let report = run_churn(&ChurnScenario::smoke(), 7);
+//! let registry = MetricsRegistry::disabled();
+//! let report = run_churn(&ChurnScenario::smoke(), 7, None, &registry, None);
 //! assert!(report.connectivity_fraction > 0.0);
 //! ```
 //!
@@ -90,16 +92,15 @@
 //!
 //! ```
 //! use cbtc::metrics::MetricsRegistry;
-//! use cbtc::workloads::{run_service_observed, ServiceConfig};
+//! use cbtc::workloads::{run_service, ServiceConfig};
 //!
 //! let registry = MetricsRegistry::enabled();
 //! let config = ServiceConfig {
 //!     streams: 2,
 //!     batch_max: 8,
-//!     batch_wait_us: 100,
 //!     ..ServiceConfig::sized(60, 300)
 //! };
-//! let report = run_service_observed(&config, 7, &registry, None);
+//! let report = run_service(&config, 7, &registry, None);
 //! assert!(report.matches_scratch, "every stream must track scratch");
 //! let all = report.latency_for("all").unwrap();
 //! assert!(all.p50 <= all.p99 && all.p99 <= all.max);

@@ -6,10 +6,11 @@ use cbtc::core::parallel::without_nested_fan_out;
 use cbtc::core::{CbtcConfig, Network};
 use cbtc::energy::{LifetimeConfig, LifetimeSim, TopologyPolicy};
 use cbtc::geom::Alpha;
+use cbtc::metrics::MetricsRegistry;
 use cbtc::trace::{
     analyze, parse_trace, timeline, MemorySink, TraceEvent, TraceHandle, TRACE_VERSION,
 };
-use cbtc::workloads::{run_churn, run_churn_traced, ChurnReport, ChurnScenario, RandomPlacement};
+use cbtc::workloads::{run_churn, ChurnReport, ChurnScenario, RandomPlacement};
 use proptest::prelude::*;
 
 /// Runs the smoke churn scenario with an in-memory trace and returns the
@@ -17,7 +18,14 @@ use proptest::prelude::*;
 /// written it.
 fn traced_smoke_run(seed: u64) -> (ChurnReport, String) {
     let (handle, events) = TraceHandle::in_memory();
-    let report = run_churn_traced(&ChurnScenario::smoke(), seed, None, &handle);
+    let registry = MetricsRegistry::disabled();
+    let report = run_churn(
+        &ChurnScenario::smoke(),
+        seed,
+        None,
+        &registry,
+        Some(&handle),
+    );
     let jsonl = MemorySink::to_jsonl(&events.lock().unwrap());
     (report, jsonl)
 }
@@ -26,7 +34,13 @@ fn traced_smoke_run(seed: u64) -> (ChurnReport, String) {
 /// bit-identical to the untraced run of the same seed.
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let untraced = run_churn(&ChurnScenario::smoke(), 11);
+    let untraced = run_churn(
+        &ChurnScenario::smoke(),
+        11,
+        None,
+        &MetricsRegistry::disabled(),
+        None,
+    );
     let (traced, jsonl) = traced_smoke_run(11);
     assert_eq!(untraced, traced);
     assert!(!jsonl.is_empty());
