@@ -2,21 +2,21 @@
 //! and incremental), the spatial shell query, the centralized growing
 //! phase (geometric, and shadowed with and without its per-ring
 //! admission screen), the three optimizations, the baseline spanners,
-//! one routing tree, and a full distributed-protocol simulation.
+//! one routing tree (full, and grown only until one or two random
+//! targets settle), and a full distributed-protocol simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
 use cbtc_core::phy::{AckGatedChannel, PhyChannel};
 use cbtc_core::protocol::{CbtcNode, GrowthConfig};
-use cbtc_core::reconfig::routing::SpTree;
 use cbtc_core::reconfig::{GeometricMetric, LinkMetric};
 use cbtc_core::{
     grow, grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
 };
 use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker};
 use cbtc_geom::{Alpha, Angle};
-use cbtc_graph::paths::{power_weight, shortest_path_tree, DijkstraScratch, Rows};
+use cbtc_graph::paths::{power_weight, shortest_path_tree, DijkstraScratch, Rows, SpTree};
 use cbtc_graph::{spanners, Layout, NodeId, RingIndex, SpatialGrid};
 use cbtc_phy::{Shadowing, ShadowingMode};
 use cbtc_radio::{PathLoss, Power, PowerSchedule};
@@ -308,6 +308,24 @@ fn bench_routing(c: &mut Criterion) {
         let mut scratch = DijkstraScratch::default();
         b.iter(|| shortest_path_tree(Rows(std::hint::black_box(&rows)), source, &mut scratch));
     });
+    // A fresh tree grown only until 1 or 2 targets settle: what a
+    // lifetime sender with that many destinations starts. The targets
+    // cycle through a fixed pseudo-random sequence of nodes.
+    let targets: Vec<NodeId> = (0..1024u64)
+        .map(|i| NodeId::new((i.wrapping_mul(2_654_435_761) % n as u64) as u32))
+        .collect();
+    for k in [1usize, 2] {
+        group.bench_function(format!("grow_until_{k}_1000"), |b| {
+            let mut scratch = DijkstraScratch::default();
+            let mut stops = targets.chunks(k).cycle();
+            b.iter(|| {
+                let mut tree = SpTree::new(n, source);
+                let stop = stops.next().expect("cycle is endless");
+                tree.grow_to(Rows(std::hint::black_box(&rows)), stop, &mut scratch);
+                tree
+            });
+        });
+    }
     // Graph, weight closure and include mask, pricing every relaxation.
     group.bench_function("sp_tree_compute_1000", |b| {
         b.iter(|| SpTree::compute(std::hint::black_box(&graph), source, &weight, |_| true));

@@ -55,15 +55,27 @@ struct ProbeBench {
     speedup: f64,
 }
 
-/// Observability overhead: the same churn run with and without the
-/// streaming JSONL trace sink installed (wall-clock timing on), reports
-/// asserted bit-identical.
+/// Observability overhead: alternating off/on pairs of the same churn
+/// run, untraced and with the streaming JSONL trace sink installed
+/// (wall-clock timing on), every traced report asserted bit-identical to
+/// the untraced one. One pair is noise-dominated, so the overhead is the
+/// median over the pairs, with its spread.
 #[derive(Debug, Serialize)]
 struct TraceBench {
+    /// Off/on pairs run; the untraced run of the first pair is the
+    /// bench's own `report` run.
+    pairs: usize,
+    /// Median untraced wall time.
     trace_off_seconds: f64,
+    /// Median traced wall time.
     trace_on_seconds: f64,
-    /// `on/off - 1`; the acceptance target is under 0.05.
+    /// Median over the pairs of `on/off - 1`; the acceptance target is
+    /// under 0.05.
     overhead_fraction: f64,
+    overhead_fraction_min: f64,
+    overhead_fraction_max: f64,
+    /// Records and bytes of one more trace, recorded with timing off: with
+    /// every `nanos` field 0 they repeat exactly for a given seed.
     events_recorded: u64,
     trace_bytes: u64,
 }
@@ -77,19 +89,23 @@ struct BenchDoc {
     wall_seconds: f64,
 }
 
-/// Re-runs the scenario with a JSONL trace streaming to a temp file and
-/// asserts the report is bit-identical to the untraced `reference`.
-fn bench_trace(
+/// Off/on pairs [`bench_trace`] runs.
+const TRACE_PAIRS: usize = 5;
+
+/// Runs the scenario with a JSONL trace streaming to a temp file and
+/// `timing` as given; asserts the report is bit-identical to the untraced
+/// `reference`. Returns the wall time, the records and the bytes written.
+fn traced_run(
     scenario: &ChurnScenario,
     seed: u64,
     reference: &ChurnReport,
-    trace_off_seconds: f64,
-) -> TraceBench {
+    timing: bool,
+) -> (f64, u64, u64) {
     let path = std::env::temp_dir().join("cbtc_bench_churn_trace.jsonl");
     let path_str = path.to_str().expect("utf-8 temp path");
     let handle = TraceHandle::to_file(path_str)
         .unwrap_or_else(|e| panic!("creating {path_str}: {e}"))
-        .with_timing(true);
+        .with_timing(timing);
     let t = Instant::now();
     let traced = run_churn(
         scenario,
@@ -98,7 +114,7 @@ fn bench_trace(
         &MetricsRegistry::disabled(),
         Some(&handle),
     );
-    let trace_on_seconds = t.elapsed().as_secs_f64();
+    let seconds = t.elapsed().as_secs_f64();
     handle.flush();
     assert_eq!(
         reference, &traced,
@@ -106,12 +122,65 @@ fn bench_trace(
     );
     let bytes = std::fs::read(&path).unwrap_or_default();
     std::fs::remove_file(&path).ok();
+    let records = bytes.iter().filter(|&&c| c == b'\n').count() as u64;
+    (seconds, records, bytes.len() as u64)
+}
+
+/// [`TRACE_PAIRS`] alternating off/on pairs (the first pair's off run is
+/// the caller's `reference` run, which took `first_off_seconds`; later
+/// pairs swap which side runs first), then one trace with timing off
+/// whose size is deterministic.
+fn bench_trace(
+    scenario: &ChurnScenario,
+    seed: u64,
+    reference: &ChurnReport,
+    first_off_seconds: f64,
+) -> TraceBench {
+    let untraced = || {
+        let t = Instant::now();
+        let report = run_churn(scenario, seed, None, &MetricsRegistry::disabled(), None);
+        assert_eq!(reference, &report, "same-seed churn runs must agree");
+        t.elapsed().as_secs_f64()
+    };
+    let traced = || traced_run(scenario, seed, reference, true).0;
+    let (mut off, mut on) = (vec![first_off_seconds], vec![traced()]);
+    for pair in 1..TRACE_PAIRS {
+        if pair % 2 == 1 {
+            on.push(traced());
+            off.push(untraced());
+        } else {
+            off.push(untraced());
+            on.push(traced());
+        }
+    }
+    let mut overhead: Vec<f64> = on
+        .iter()
+        .zip(&off)
+        .map(|(on, off)| on / off.max(f64::MIN_POSITIVE) - 1.0)
+        .collect();
+    let overhead_fraction = median(&mut overhead); // sorts `overhead`
+    let (_, events_recorded, trace_bytes) = traced_run(scenario, seed, reference, false);
     TraceBench {
-        trace_off_seconds,
-        trace_on_seconds,
-        overhead_fraction: trace_on_seconds / trace_off_seconds.max(f64::MIN_POSITIVE) - 1.0,
-        events_recorded: bytes.iter().filter(|&&c| c == b'\n').count() as u64,
-        trace_bytes: bytes.len() as u64,
+        pairs: TRACE_PAIRS,
+        trace_off_seconds: median(&mut off),
+        trace_on_seconds: median(&mut on),
+        overhead_fraction,
+        overhead_fraction_min: overhead[0],
+        overhead_fraction_max: overhead[TRACE_PAIRS - 1],
+        events_recorded,
+        trace_bytes,
+    }
+}
+
+/// Sorts `xs` ascending and returns its median (the mean of the middle
+/// two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -343,11 +412,15 @@ fn main() {
 
     let trace = bench_trace(&scenario, seed, &report, wall);
     println!(
-        "trace overhead: off {:.1}s vs on {:.1}s ({:+.1}%) — {} events, {:.1} MB JSONL, \
+        "trace overhead over {} off/on pairs: median off {:.1}s vs on {:.1}s, {:+.1}% \
+         (min {:+.1}%, max {:+.1}%) — {} events, {:.1} MB JSONL with timing off, \
          reports bit-identical",
+        trace.pairs,
         trace.trace_off_seconds,
         trace.trace_on_seconds,
         trace.overhead_fraction * 100.0,
+        trace.overhead_fraction_min * 100.0,
+        trace.overhead_fraction_max * 100.0,
         trace.events_recorded,
         trace.trace_bytes as f64 / 1e6,
     );

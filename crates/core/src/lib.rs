@@ -46,7 +46,7 @@
 //! | [`protocol`] | Figure 1 as a distributed message-passing protocol |
 //! | [`reconfig`] | §4: NDP beacons and the `join`/`leave`/`aChange` rules (driven at scale by `cbtc_workloads::churn`) |
 //! | [`reconfig::DeltaTopology`] | §4 centralized mirror: a maintained `CBTC(α)` run under death/join/move streams, generic over a [`reconfig::LinkMetric`] (ideal or phy effective distance), affected sets from the reverse discovery relation, grid-free cached-prefix replay when no α-gap opens |
-//! | [`reconfig::routing`] | scaling infrastructure: which cached shortest-path trees a topology delta can invalidate (shared by the lifetime engine and the churn stretch probes) |
+//! | [`reconfig::routing`] | scaling infrastructure: which cached shortest-path trees, complete or partial, a topology delta can invalidate (the lifetime engine's keep rules) |
 //! | [`theory`] | Lemma 2.2 / Corollary 2.3 / redundancy, as executable predicates |
 //! | [`construct`] = [`optimize`] ∘ [`grow`] | the one construction engine, generic over a [`reconfig::LinkMetric`], an alive mask and the pairwise connectivity guard; every from-scratch construction in the workspace is a call into it |
 //! | [`run_basic_brute`] | the independent oracle (no paper analogue): all-pairs growth, pushed through the plain [`opt`] stages it is the reference the output-sensitive engine is validated against |

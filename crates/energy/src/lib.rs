@@ -42,9 +42,9 @@
 //! phy-channel tracker under [`phy`]) adapts the metric-generic
 //! [`cbtc_core::reconfig::DeltaTopology`] engine — only nodes whose
 //! discovery prefix contained the deceased re-grow, and only the routing
-//! trees the edge delta can affect are recomputed
-//! ([`cbtc_core::reconfig::routing`]), bit-for-bit equal to a full
-//! rebuild. Hop powers follow §2's measurement assumption through
+//! trees the edge delta can affect are dropped
+//! ([`cbtc_core::reconfig::routing`]) and grown again on demand,
+//! bit-for-bit equal to a full rebuild. Hop powers follow §2's measurement assumption through
 //! [`cbtc_radio::PowerBasis`]: under `Measured`, drains, routing
 //! weights and broadcast radii are priced from the channel's effective
 //! distance (what the received Hello reports) instead of the geometric

@@ -29,13 +29,20 @@
 //!   once per packet-hop. Routing trees are built straight from these
 //!   rows by the one Dijkstra kernel in [`cbtc_graph::paths`], with no
 //!   per-relaxation lookup or alive check.
-//! * **Built once per source, fanned out per epoch.** Routing trees
-//!   persist per source. After an epoch's flows are drawn, the distinct
-//!   senders without a tree get theirs, computed in parallel
+//! * **Grown on demand per source, fanned out per epoch.** Routing
+//!   trees persist per source, and each is grown only as far as its
+//!   packets need: after an epoch's flows are drawn, every sender whose
+//!   tree has not settled all of the sender's destinations this epoch
+//!   gets its tree started, or resumed where it stopped, until those
+//!   destinations are settled ([`SpTree::grow_to`]). A sender has about
+//!   1.6 destinations an epoch and a death drops most trees soon after,
+//!   so on the benchmark's 1000-node lifetime the trees settle about 64%
+//!   of the nodes full trees would. The trees grow in parallel
 //!   ([`cbtc_core::parallel::par_map_with`], one reused heap per worker)
-//!   before the first packet moves. Inside a caller's own fan-out (the
-//!   multi-seed runner) this runs inline. The packet loop only walks
-//!   cached trees, reusing one path buffer.
+//!   before the first packet moves; inside a caller's own fan-out (the
+//!   multi-seed runner) this runs inline. A settled node's parent and
+//!   cost are final, so the packet loop walks cached paths that are bit
+//!   for bit the full tree's, reusing one path buffer.
 //! * **Death epochs patch, not rebuild.** The topology is one
 //!   [`SurvivorTracker`], patched on every death epoch: the builder's
 //!   own (the ideal-radio [`crate::SurvivorTopology`] or the phy
@@ -45,25 +52,28 @@
 //!   they do not. Only the rows the edge delta touches are re-priced,
 //!   and only the routing trees the change can actually affect — those
 //!   reaching a dead node, using a removed tree edge, or improvable by
-//!   an added edge in either direction — are dropped, to be rebuilt
-//!   when their source next sends. In a connected network a death
-//!   reaches every tree, so the epoch after a death rebuilds one tree
-//!   per sender; that burst is what the fan-out spreads over the cores.
+//!   an added edge in either direction, where a partial tree's reach is
+//!   its settled nodes plus its frontier — are dropped, to be started
+//!   again when their source next sends. In a connected network a death
+//!   reaches every complete tree, and only a partial tree that has not
+//!   reached the dead node survives; the epoch after a death restarts the
+//!   rest, and that burst is what the fan-out spreads over the cores.
 //!
 //! Topology, prices and the alive mask are fixed while packets move, so
-//! building the trees up front and in parallel reproduces the lazy,
+//! growing the trees up front and in parallel reproduces the lazy,
 //! sequential order bit for bit. The tests hold both death-epoch
 //! mechanisms to from-scratch oracles: whole runs over a tracker that
 //! rebuilds the survivor topology every death epoch, and, after every
-//! epoch, each cached tree, priced row and radius against a fresh
-//! computation.
+//! epoch, each cached tree (grown to the end) and each priced row and
+//! radius against a fresh computation.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use cbtc_core::parallel::par_map_with;
-use cbtc_core::reconfig::routing::{tree_reusable, SpTree};
+use cbtc_core::reconfig::routing::tree_reusable;
 use cbtc_core::Network;
-use cbtc_graph::paths::{DijkstraScratch, Rows, WeightedArc};
+use cbtc_graph::paths::{DijkstraScratch, Rows, SpTree, WeightedArc};
 use cbtc_graph::traversal::alive_connected;
 use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -179,20 +189,25 @@ impl LifetimeReport {
     }
 }
 
-/// Smallest slice of an epoch's missing trees worth a worker thread: 16
-/// trees of a 1000-node network are about a millisecond of work
-/// (`hot_paths`' `routing/row_kernel_1000`), far above a thread spawn.
+/// Smallest slice of an epoch's growing trees worth a worker thread: 16
+/// full trees of a 1000-node network are about a millisecond of work
+/// (`hot_paths`' `routing/row_kernel_1000`), a partial one a fraction of
+/// that (`routing/grow_until_{1,2}_1000`), still far above a thread spawn.
 const ROUTE_MIN_CHUNK: usize = 16;
 
 /// Minimum-energy routing state: one shortest-path tree per source,
-/// built the first time the source sends and kept until a topology
-/// change that can actually affect it.
+/// started the first time the source sends, grown only as far as the
+/// source's packets need, and kept until a topology change that can
+/// actually affect it.
 ///
 /// Each epoch, before any packet moves, [`RoutingTable::install_missing`]
-/// builds the trees of that epoch's senders that have none, fanned out
-/// over the cores. The packet loop then only walks cached trees. Traffic
-/// changes neither the topology, the prices nor the alive mask, so a tree
-/// built up front is bit for bit the one the packet would have built.
+/// starts or resumes the tree of every sender with a destination its tree
+/// has not settled, fanned out over the cores. The packet loop then only
+/// walks cached trees from settled destinations. Traffic changes neither
+/// the topology, the prices nor the alive mask, and a settled node's path
+/// is final ([`SpTree`]'s stop-and-resume rule), so a path read from a
+/// partial tree grown up front is bit for bit the one a full tree built
+/// by the packet would give.
 #[derive(Debug)]
 struct RoutingTable {
     trees: Vec<Option<SpTree>>,
@@ -206,27 +221,46 @@ impl RoutingTable {
         }
     }
 
-    /// Builds and installs the tree of every sender in `flows` that has
-    /// none, routing on the priced `rows` (each row holds exactly its
-    /// node's alive neighbours, in adjacency order, with their directed
-    /// weights). One heap per worker.
+    /// Groups `flows` by sender and grows, in one fan-out, every
+    /// sender's tree that lacks a settled destination: a missing tree is
+    /// started, a partial one resumed, each only until the sender's
+    /// destinations are settled. Routes on the priced `rows` (each row
+    /// holds exactly its node's alive neighbours, in adjacency order,
+    /// with their directed weights). One heap per worker.
     fn install_missing(&mut self, flows: &[Flow], rows: &[Vec<PricedArc>]) {
-        let mut missing: Vec<NodeId> = flows
-            .iter()
-            .map(|f| f.src)
-            .filter(|s| self.trees[s.index()].is_none())
-            .collect();
-        missing.sort_unstable();
-        missing.dedup();
-        let built = par_map_with(
-            &missing,
+        let mut pairs: Vec<(NodeId, NodeId)> = flows.iter().map(|f| (f.src, f.dst)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let dsts: Vec<NodeId> = pairs.iter().map(|&(_, dst)| dst).collect();
+        // One job per growing tree, in ascending sender order. Each job's
+        // lock is taken once, by the worker that pulls it: it only hands
+        // that worker its tree's slot.
+        let mut slots = self.trees.iter_mut().enumerate();
+        let mut jobs = Vec::new();
+        let mut end = 0;
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let (src, targets) = (group[0].0, &dsts[end..end + group.len()]);
+            end += group.len();
+            let (_, slot) = slots
+                .find(|&(i, _)| i == src.index())
+                .expect("senders are in ascending order");
+            let ready = slot.as_ref().is_some_and(|tree| {
+                tree.is_complete() || targets.iter().all(|&dst| tree.is_settled(dst))
+            });
+            if !ready {
+                jobs.push((src, Mutex::new(slot), targets));
+            }
+        }
+        par_map_with(
+            &jobs,
             ROUTE_MIN_CHUNK,
             DijkstraScratch::default,
-            |scratch, &s| SpTree::compute_on(Rows(rows), s, scratch),
+            |scratch, (src, slot, targets)| {
+                let mut slot = slot.lock().expect("a job is grown once");
+                slot.get_or_insert_with(|| SpTree::new(rows.len(), *src))
+                    .grow_to(Rows(rows), targets, scratch);
+            },
         );
-        for (s, tree) in missing.into_iter().zip(built) {
-            self.trees[s.index()] = Some(tree);
-        }
     }
 
     /// Writes the node path `src → … → dst` into `out`; returns `false`
@@ -240,11 +274,12 @@ impl RoutingTable {
         let tree = self.trees[src.index()]
             .as_ref()
             .expect("the epoch's trees are installed before the packet loop");
+        debug_assert!(tree.is_settled(dst) || tree.is_complete());
         out.clear();
         out.push(dst);
         let mut cursor = dst;
         while cursor != src {
-            match tree.parent.get(cursor.index()).copied().flatten() {
+            match tree.parent(cursor) {
                 None => return false,
                 Some(prev) => {
                     cursor = prev;
@@ -951,6 +986,7 @@ mod tests {
     use crate::PhyPolicy;
     use cbtc_core::CbtcConfig;
     use cbtc_geom::{Alpha, Point2};
+    use cbtc_graph::paths::shortest_path_tree;
     use cbtc_graph::Layout;
     use cbtc_phy::{PhyProfile, PrrCurve, ShadowingMode};
 
@@ -1126,41 +1162,50 @@ mod tests {
     }
 
     /// Runs `builder` on both pricing bases to the end, with and without
-    /// reconfiguration as `reconfigure` lists, calling `check` after
-    /// construction and after every epoch. Returns how many runs died.
+    /// reconfiguration as `reconfigure` lists, under each traffic pattern
+    /// of `patterns`, calling `check` after construction and after every
+    /// epoch. Returns how many runs died.
     fn every_epoch(
         builder: &dyn TopologyBuilder,
         reconfigure: &[bool],
+        patterns: &[TrafficPattern],
         mut check: impl FnMut(&LifetimeSim),
     ) -> usize {
         let network = scattered();
         let mut runs_with_deaths = 0;
-        for &reconfigure in reconfigure {
-            for basis in [PowerBasis::Geometric, PowerBasis::Measured] {
-                let mut config = LifetimeConfig {
-                    initial_energy: 150_000.0,
-                    packets_per_epoch: 20,
-                    max_epochs: 3_000,
-                    reconfigure,
-                    ..LifetimeConfig::paper_default()
-                };
-                config.energy.power_basis = basis;
-                let mut sim = LifetimeSim::with_builder(network.clone(), builder, config, 3);
-                check(&sim);
-                while sim.step() {
+        for &pattern in patterns {
+            for &reconfigure in reconfigure {
+                for basis in [PowerBasis::Geometric, PowerBasis::Measured] {
+                    let mut config = LifetimeConfig {
+                        initial_energy: 150_000.0,
+                        packets_per_epoch: 20,
+                        pattern,
+                        max_epochs: 3_000,
+                        reconfigure,
+                        ..LifetimeConfig::paper_default()
+                    };
+                    config.energy.power_basis = basis;
+                    let mut sim = LifetimeSim::with_builder(network.clone(), builder, config, 3);
                     check(&sim);
+                    while sim.step() {
+                        check(&sim);
+                    }
+                    check(&sim);
+                    runs_with_deaths += usize::from(sim.first_death.is_some());
                 }
-                check(&sim);
-                runs_with_deaths += usize::from(sim.first_death.is_some());
             }
         }
         runs_with_deaths
     }
 
-    /// Selective invalidation ≡ full reset: after every epoch, each
-    /// cached routing tree equals a fresh tree over the current rows
+    /// Selective invalidation and on-demand growth ≡ a fresh full tree:
+    /// after every epoch, each cached routing tree, partial or complete,
+    /// grown to the end on the current rows equals a fresh tree over them
     /// (parents and `dist` bits), and each priced row, radius and the
-    /// alive-ID cache equal a fresh pricing of the current topology.
+    /// alive-ID cache equal a fresh pricing of the current topology. Runs
+    /// under uniform, convergecast and hotspot traffic, and counts the
+    /// partial trees kept through a death epoch and the trees resumed in
+    /// a later epoch, so both paths are known to be exercised.
     #[test]
     fn cached_routing_state_equals_a_fresh_computation_every_epoch() {
         let bits = |row: &[PricedArc]| -> Vec<(NodeId, u64, u64, u64)> {
@@ -1171,14 +1216,35 @@ mod tests {
                 })
                 .collect()
         };
+        let dist_bits = |t: &SpTree| t.dist().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let settled = |t: &SpTree, n: usize| {
+            (0..n as u32)
+                .filter(|&v| t.is_settled(NodeId::new(v)))
+                .count()
+        };
+        let patterns = [
+            TrafficPattern::Uniform,
+            TrafficPattern::Convergecast {
+                sink: NodeId::new(0),
+            },
+            TrafficPattern::Hotspot {
+                hotspot: NodeId::new(0),
+                bias: 0.5,
+            },
+        ];
         let mut scratch = DijkstraScratch::default();
         let mut fresh_row = Vec::new();
         let (mut trees, mut kept_through_deaths) = (0usize, 0usize);
+        let (mut partial_kept_through_deaths, mut resumed) = (0usize, 0usize);
         for builder in builders() {
             let mut alive_before = u32::MAX;
-            let runs = every_epoch(builder.as_ref(), &[true, false], |sim| {
+            // Each source's settled count at the previous check, when it
+            // had a tree then.
+            let mut settled_before: Vec<Option<usize>> = Vec::new();
+            let runs = every_epoch(builder.as_ref(), &[true, false], &patterns, |sim| {
                 let label = builder.label();
                 let layout = sim.network.layout();
+                let n = layout.len();
                 let alive: Vec<NodeId> =
                     layout.node_ids().filter(|u| sim.alive[u.index()]).collect();
                 assert_eq!(sim.alive_ids, alive, "{label}: alive ids");
@@ -1196,24 +1262,48 @@ mod tests {
                         "{label}: radius of {u} at epoch {epoch}"
                     );
                 }
-                let died = sim.alive_count < alive_before;
+                // A fresh run starts with no trees and no deaths.
+                let died = sim.epoch > 0 && sim.alive_count < alive_before;
                 alive_before = sim.alive_count;
+                if sim.epoch == 0 {
+                    settled_before = vec![None; n];
+                }
                 for (s, cached) in sim.routes.trees.iter().enumerate() {
-                    let Some(cached) = cached else { continue };
+                    let Some(cached) = cached else {
+                        settled_before[s] = None;
+                        continue;
+                    };
                     let source = NodeId::new(s as u32);
-                    let fresh = SpTree::compute_on(Rows(&sim.edge_costs), source, &mut scratch);
-                    let dist = |t: &SpTree| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(cached.parent, fresh.parent, "{label}: tree of {source}");
-                    assert_eq!(dist(cached), dist(&fresh), "{label}: tree of {source}");
+                    let fresh = shortest_path_tree(Rows(&sim.edge_costs), source, &mut scratch);
+                    let mut grown = cached.clone();
+                    grown.grow_to_end(Rows(&sim.edge_costs), &mut scratch);
+                    assert_eq!(
+                        grown.parents(),
+                        fresh.parents(),
+                        "{label}: tree of {source}"
+                    );
+                    assert_eq!(
+                        dist_bits(&grown),
+                        dist_bits(&fresh),
+                        "{label}: tree of {source}"
+                    );
                     trees += 1;
                     kept_through_deaths += usize::from(died);
+                    partial_kept_through_deaths += usize::from(died && !cached.is_complete());
+                    // A tree held before and after an epoch is the same
+                    // one: the epoch only starts trees that are missing,
+                    // and drops come after its packets.
+                    let now = settled(cached, n);
+                    resumed += usize::from(settled_before[s].is_some_and(|before| before < now));
+                    settled_before[s] = Some(now);
                 }
             });
-            assert_eq!(runs, 4, "{}: every run must see deaths", builder.label());
+            assert_eq!(runs, 12, "{}: every run must see deaths", builder.label());
         }
         assert!(
-            kept_through_deaths > 1000,
-            "only {kept_through_deaths} of {trees} checked trees survived a death epoch"
+            kept_through_deaths > 1000 && partial_kept_through_deaths > 0 && resumed > 0,
+            "of {trees} checked trees, {kept_through_deaths} survived a death epoch \
+             ({partial_kept_through_deaths} of them partial) and {resumed} were resumed"
         );
     }
 
@@ -1226,27 +1316,32 @@ mod tests {
         for builder in builders() {
             // One initial topology per pricing basis.
             let mut initial: [Option<UndirectedGraph>; 2] = [None, None];
-            let runs = every_epoch(builder.as_ref(), &[false], |sim| {
-                let basis = sim.config.energy.power_basis;
-                let mut expected = initial[usize::from(basis == PowerBasis::Measured)]
-                    .get_or_insert_with(|| builder.build(&network, basis))
-                    .clone();
-                for u in network.layout().node_ids() {
-                    if !sim.alive[u.index()] {
-                        let neighbors: Vec<NodeId> = expected.neighbors(u).collect();
-                        for v in neighbors {
-                            expected.remove_edge(u, v);
+            let runs = every_epoch(
+                builder.as_ref(),
+                &[false],
+                &[TrafficPattern::Uniform],
+                |sim| {
+                    let basis = sim.config.energy.power_basis;
+                    let mut expected = initial[usize::from(basis == PowerBasis::Measured)]
+                        .get_or_insert_with(|| builder.build(&network, basis))
+                        .clone();
+                    for u in network.layout().node_ids() {
+                        if !sim.alive[u.index()] {
+                            let neighbors: Vec<NodeId> = expected.neighbors(u).collect();
+                            for v in neighbors {
+                                expected.remove_edge(u, v);
+                            }
                         }
                     }
-                }
-                assert_eq!(
-                    sim.topology(),
-                    &expected,
-                    "{} on {basis:?} at epoch {}",
-                    builder.label(),
-                    sim.epoch
-                );
-            });
+                    assert_eq!(
+                        sim.topology(),
+                        &expected,
+                        "{} on {basis:?} at epoch {}",
+                        builder.label(),
+                        sim.epoch
+                    );
+                },
+            );
             assert_eq!(runs, 2, "{}: every run must see deaths", builder.label());
         }
     }

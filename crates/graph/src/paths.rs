@@ -7,18 +7,19 @@
 //! networks.
 //!
 //! Every shortest-path function here is a thin caller of one kernel,
-//! [`shortest_path_tree`], generic over where it reads arcs from
-//! ([`Arcs`]): a graph with weight and include closures
-//! ([`GraphArcs`]), or pre-priced adjacency rows ([`Rows`]), which is
-//! how the lifetime engine routes.
+//! [`SpTree`]'s, generic over where it reads arcs from ([`Arcs`]): a
+//! graph with weight and include closures ([`GraphArcs`]), or pre-priced
+//! adjacency rows ([`Rows`]), which is how the lifetime engine routes.
+//! The kernel can stop once given targets are settled and resume later
+//! ([`SpTree::grow_to`]); [`shortest_path_tree`] grows it to the end.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::{Layout, NodeId, UndirectedGraph};
 
-/// Where the shortest-path kernel ([`shortest_path_tree`]) reads a node's
-/// out-arcs from.
+/// Where the shortest-path kernel ([`SpTree`]) reads a node's out-arcs
+/// from.
 ///
 /// The kernel is generic over this trait and monomorphized per arc
 /// source, so relaxing an arc is a direct, inlinable call — never a `dyn`
@@ -107,10 +108,21 @@ pub struct DijkstraScratch {
     heap: BinaryHeap<Reverse<(u64, NodeId)>>,
 }
 
-/// The single-source shortest-path kernel: each node's predecessor on
-/// its cheapest path from `source` (`None` for the source and for
-/// unreachable nodes) and that path's cost (`f64::INFINITY` when
-/// unreachable).
+/// `SpTree::parent` entry of a node without a predecessor: the source,
+/// and every node not reached yet. `NodeId(u32)` has no niche, so an
+/// `Option<NodeId>` would take 8 bytes a node instead of 4.
+const NO_PARENT: u32 = u32::MAX;
+
+/// A single-source shortest-path tree, grown by the one kernel in this
+/// module, perhaps only part of the way: each node's cost from the source
+/// and its predecessor on that cheapest path.
+///
+/// A node is *settled* once the kernel has popped it and relaxed its
+/// arcs; its parent and cost are then final. A node is *reached* once
+/// some settled node offered it a finite cost; the reached but unsettled
+/// nodes are the *frontier*, holding tentative costs and parents. A tree
+/// is *complete* when its frontier is empty: every node reachable from
+/// the source is settled and every other node is at `f64::INFINITY`.
 ///
 /// # Settle rule
 ///
@@ -127,6 +139,225 @@ pub struct DijkstraScratch {
 /// exactly like `total_cmp`, so the pop order — and with it every parent
 /// choice — is the one a float-keyed heap would produce.
 ///
+/// # Stop and resume
+///
+/// [`SpTree::grow_to`] settles nodes only until every given target is
+/// settled (or the frontier runs dry), and stops right after relaxing the
+/// last target's arcs, so every settled node has relaxed all of its arcs.
+/// The heap is not kept: a later call rebuilds it from the frontier, one
+/// entry per frontier node at its tentative cost, and continues. That
+/// resumed heap holds exactly the live entries the uninterrupted heap
+/// would hold at the same point (every other entry of it is stale: an
+/// older, higher cost of a frontier node, or a settled node's), so the
+/// next pop — and every later one — is the one an uninterrupted run makes.
+/// A node's parent and cost never change after it settles, because no
+/// later pop costs less. Hence, on the same arcs, a tree grown in any
+/// sequence of stops agrees with the full tree ([`shortest_path_tree`])
+/// on every settled node, and growing it to the end yields the full tree
+/// bit for bit.
+///
+/// # Example
+///
+/// ```
+/// use cbtc_graph::paths::{shortest_path_tree, DijkstraScratch, Rows, SpTree};
+/// use cbtc_graph::NodeId;
+///
+/// // Directed rows: 0 → 1 costs 1, 1 → 2 costs 1, 0 → 2 costs 5.
+/// let n = NodeId::new;
+/// let rows = vec![
+///     vec![(n(1), 1.0), (n(2), 5.0)],
+///     vec![(n(0), 1.0), (n(2), 1.0)],
+///     vec![(n(0), 5.0), (n(1), 1.0)],
+/// ];
+/// let mut scratch = DijkstraScratch::default();
+/// let mut tree = SpTree::new(3, n(0));
+/// tree.grow_to(Rows(&rows), &[n(1)], &mut scratch);
+/// assert!(tree.is_settled(n(1)) && !tree.is_settled(n(2)));
+/// assert_eq!(tree.dist()[2], 2.0); // tentative, through 1
+/// tree.grow_to(Rows(&rows), &[n(2)], &mut scratch);
+/// assert_eq!(tree.parent(n(2)), Some(n(1)));
+/// let full = shortest_path_tree(Rows(&rows), n(0), &mut scratch);
+/// assert_eq!(tree.parents(), full.parents());
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpTree {
+    /// Final cost of a settled node, tentative cost of a frontier node,
+    /// `f64::INFINITY` elsewhere.
+    dist: Vec<f64>,
+    /// Predecessor's raw ID, or [`NO_PARENT`].
+    parent: Vec<u32>,
+    /// One bit per node: `dist` is finite.
+    reached: Vec<u64>,
+    /// One bit per node.
+    settled: Vec<u64>,
+    /// Whether the frontier is known to be empty.
+    complete: bool,
+}
+
+impl SpTree {
+    /// A tree over `n` nodes that has reached only `source`, at cost 0,
+    /// and settled nothing yet.
+    pub fn new(n: usize, source: NodeId) -> Self {
+        let mut dist = vec![f64::INFINITY; n];
+        dist[source.index()] = 0.0;
+        let mut reached = vec![0; n.div_ceil(64)];
+        set_bit(&mut reached, source.index());
+        SpTree {
+            dist,
+            parent: vec![NO_PARENT; n],
+            reached,
+            settled: vec![0; n.div_ceil(64)],
+            complete: false,
+        }
+    }
+
+    /// The complete tree over an undirected graph priced by `weight`,
+    /// restricted to nodes accepted by `include` (the source is always
+    /// included): the kernel grown to the end over [`GraphArcs`].
+    ///
+    /// The cost array is what incremental routing caches need: whether a
+    /// topology change can affect a cached tree is decided by comparing
+    /// the change's endpoints' costs, without recomputing the tree.
+    pub fn compute<W, F>(graph: &UndirectedGraph, source: NodeId, weight: W, include: F) -> Self
+    where
+        W: FnMut(NodeId, NodeId) -> f64,
+        F: FnMut(NodeId) -> bool,
+    {
+        let arcs = GraphArcs {
+            graph,
+            weight,
+            include,
+        };
+        shortest_path_tree(arcs, source, &mut DijkstraScratch::default())
+    }
+
+    /// Settles nodes until every node of `targets` is settled or the tree
+    /// is complete (a target the source cannot reach never settles). A
+    /// call whose targets are all settled already does nothing. The
+    /// [stop-and-resume rule](SpTree#stop-and-resume) makes any sequence
+    /// of calls on the same `arcs` agree with the full tree.
+    pub fn grow_to<A: Arcs>(&mut self, arcs: A, targets: &[NodeId], scratch: &mut DijkstraScratch) {
+        // Distinct targets still to settle.
+        let pending = targets
+            .iter()
+            .enumerate()
+            .filter(|&(i, &t)| !self.is_settled(t) && !targets[..i].contains(&t))
+            .count();
+        if pending > 0 {
+            self.settle(arcs, Some((targets, pending)), scratch);
+        }
+    }
+
+    /// Settles every node the source reaches: the tree is complete.
+    pub fn grow_to_end<A: Arcs>(&mut self, arcs: A, scratch: &mut DijkstraScratch) {
+        self.settle(arcs, None, scratch);
+    }
+
+    /// The kernel. Rebuilds the heap from the frontier, then settles in
+    /// `(dist bits, id)` order until `until`'s pending count of targets
+    /// drops to zero (`None`: until the heap is empty).
+    fn settle<A: Arcs>(
+        &mut self,
+        mut arcs: A,
+        mut until: Option<(&[NodeId], usize)>,
+        scratch: &mut DijkstraScratch,
+    ) {
+        if self.complete {
+            return;
+        }
+        // The frontier, a word of the reached-but-unsettled bits at a time.
+        let mut entries = std::mem::take(&mut scratch.heap).into_vec();
+        entries.clear();
+        for (word, (&reached, &settled)) in self.reached.iter().zip(&self.settled).enumerate() {
+            let mut frontier = reached & !settled;
+            while frontier != 0 {
+                let v = word * 64 + frontier.trailing_zeros() as usize;
+                frontier &= frontier - 1;
+                entries.push(Reverse((self.dist[v].to_bits(), NodeId::new(v as u32))));
+            }
+        }
+        let mut heap = BinaryHeap::from(entries);
+        let (dist, parent, reached) = (&mut self.dist, &mut self.parent, &mut self.reached);
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            if bits > dist[u.index()].to_bits() {
+                continue; // stale entry
+            }
+            set_bit(&mut self.settled, u.index());
+            let cost = f64::from_bits(bits);
+            arcs.for_each_arc(u, |v, w| {
+                debug_assert!(w >= 0.0, "negative edge weight");
+                let next = cost + w;
+                if next < dist[v.index()] {
+                    dist[v.index()] = next;
+                    parent[v.index()] = u.raw();
+                    set_bit(reached, v.index());
+                    heap.push(Reverse((next.to_bits(), v)));
+                }
+            });
+            if let Some((targets, pending)) = &mut until {
+                if targets.contains(&u) {
+                    *pending -= 1;
+                    if *pending == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        self.complete = heap.is_empty();
+        scratch.heap = heap;
+    }
+
+    /// Each node's cost from the source: final for a settled node,
+    /// tentative for a frontier node, `f64::INFINITY` for the rest.
+    pub fn dist(&self) -> &[f64] {
+        &self.dist
+    }
+
+    /// `v`'s predecessor: final for a settled node, tentative for a
+    /// frontier node, `None` for the source and unreached nodes.
+    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
+        let p = self.parent[v.index()];
+        (p != NO_PARENT).then(|| NodeId::new(p))
+    }
+
+    /// [`SpTree::parent`] of every node, in ID order.
+    pub fn parents(&self) -> Vec<Option<NodeId>> {
+        (0..self.parent.len() as u32)
+            .map(|v| self.parent(NodeId::new(v)))
+            .collect()
+    }
+
+    /// Whether `v` is reached: settled, or in the frontier.
+    pub fn reaches(&self, v: NodeId) -> bool {
+        bit(&self.reached, v.index())
+    }
+
+    /// Whether `v` is settled: its parent and cost are final.
+    pub fn is_settled(&self, v: NodeId) -> bool {
+        bit(&self.settled, v.index())
+    }
+
+    /// Whether every node the source reaches is settled.
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+}
+
+/// Bit `i` of a bitset stored in 64-bit words.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Sets bit `i` of a bitset stored in 64-bit words.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The single-source shortest-path kernel grown to the end: the complete
+/// [`SpTree`] from `source` over `arcs`, reusing `scratch`'s heap. The
+/// settle rule, and why partial growth agrees with this, are on
+/// [`SpTree`].
+///
 /// # Example
 ///
 /// ```
@@ -141,38 +372,18 @@ pub struct DijkstraScratch {
 ///     vec![(n(0), 5.0), (n(1), 1.0)],
 /// ];
 /// let mut scratch = DijkstraScratch::default();
-/// let (parent, dist) = shortest_path_tree(Rows(&rows), n(0), &mut scratch);
-/// assert_eq!(parent[2], Some(n(1)));
-/// assert_eq!(dist[2], 2.0);
+/// let tree = shortest_path_tree(Rows(&rows), n(0), &mut scratch);
+/// assert_eq!(tree.parent(n(2)), Some(n(1)));
+/// assert_eq!(tree.dist()[2], 2.0);
 /// ```
 pub fn shortest_path_tree<A: Arcs>(
-    mut arcs: A,
+    arcs: A,
     source: NodeId,
     scratch: &mut DijkstraScratch,
-) -> (Vec<Option<NodeId>>, Vec<f64>) {
-    let n = arcs.node_count();
-    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let heap = &mut scratch.heap;
-    heap.clear();
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((0.0f64.to_bits(), source)));
-    while let Some(Reverse((bits, u))) = heap.pop() {
-        if bits > dist[u.index()].to_bits() {
-            continue; // stale entry
-        }
-        let cost = f64::from_bits(bits);
-        arcs.for_each_arc(u, |v, w| {
-            debug_assert!(w >= 0.0, "negative edge weight");
-            let next = cost + w;
-            if next < dist[v.index()] {
-                dist[v.index()] = next;
-                parent[v.index()] = Some(u);
-                heap.push(Reverse((next.to_bits(), v)));
-            }
-        });
-    }
-    (parent, dist)
+) -> SpTree {
+    let mut tree = SpTree::new(arcs.node_count(), source);
+    tree.grow_to_end(arcs, scratch);
+    tree
 }
 
 /// Single-source shortest path costs under an arbitrary non-negative edge
@@ -194,9 +405,10 @@ pub fn dijkstra<W>(g: &UndirectedGraph, source: NodeId, weight: W) -> Vec<Option
 where
     W: FnMut(NodeId, NodeId) -> f64,
 {
-    let (_, dist) = dijkstra_tree(g, source, weight, |_| true);
-    dist.into_iter()
-        .map(|d| d.is_finite().then_some(d))
+    SpTree::compute(g, source, weight, |_| true)
+        .dist()
+        .iter()
+        .map(|d| d.is_finite().then_some(*d))
         .collect()
 }
 
@@ -207,8 +419,8 @@ where
 ///
 /// The `include` predicate lets callers route over an induced subgraph —
 /// e.g. the still-alive nodes of a lifetime simulation — without
-/// materializing it. Ties follow [`shortest_path_tree`]'s settle rule,
-/// so the tree is deterministic.
+/// materializing it. Ties follow [`SpTree`]'s settle rule, so the tree
+/// is deterministic.
 ///
 /// # Example
 ///
@@ -232,31 +444,7 @@ where
     W: FnMut(NodeId, NodeId) -> f64,
     F: FnMut(NodeId) -> bool,
 {
-    dijkstra_tree(g, source, weight, include).0
-}
-
-/// Like [`dijkstra_parents`], but also returns each node's path cost from
-/// `source` (`f64::INFINITY` for unreachable or excluded nodes).
-///
-/// The cost array is what incremental routing caches need: whether a
-/// topology change can affect a cached tree is decided by comparing the
-/// change's endpoints' costs, without recomputing the tree.
-pub fn dijkstra_tree<W, F>(
-    graph: &UndirectedGraph,
-    source: NodeId,
-    weight: W,
-    include: F,
-) -> (Vec<Option<NodeId>>, Vec<f64>)
-where
-    W: FnMut(NodeId, NodeId) -> f64,
-    F: FnMut(NodeId) -> bool,
-{
-    let arcs = GraphArcs {
-        graph,
-        weight,
-        include,
-    };
-    shortest_path_tree(arcs, source, &mut DijkstraScratch::default())
+    SpTree::compute(g, source, weight, include).parents()
 }
 
 /// The *power cost* of routing along an edge: `d(u,v)ⁿ` for path-loss

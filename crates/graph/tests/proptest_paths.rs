@@ -2,16 +2,18 @@
 //!
 //! The reference settles nodes by scanning an array for the smallest
 //! unsettled `(dist, id)` and sets a parent only on strict improvement —
-//! the settle rule [`shortest_path_tree`] documents, with no heap. Both
-//! arc sources of the kernel (a graph with weight and include closures,
-//! and pre-priced rows) must reproduce it exactly: every `parent` and
-//! the bits of every `dist`. Integer-weight lattices (zero weights
-//! included) make ties common, so the tie-break is exercised, not just
-//! the costs.
+//! the settle rule [`SpTree`] documents, with no heap. Both arc sources
+//! of the kernel (a graph with weight and include closures, and
+//! pre-priced rows) must reproduce it exactly: every `parent` and the
+//! bits of every `dist`. So must a tree grown in stops: through a random
+//! sequence of 1–3-target resumptions every settled node already agrees
+//! with the reference, and growing to the end gives the full tree.
+//! Integer-weight lattices (zero weights included) make ties common, so
+//! the tie-break is exercised, not just the costs.
 
 use std::collections::HashMap;
 
-use cbtc_graph::paths::{shortest_path_tree, DijkstraScratch, GraphArcs, Rows};
+use cbtc_graph::paths::{shortest_path_tree, DijkstraScratch, GraphArcs, Rows, SpTree};
 use cbtc_graph::{NodeId, UndirectedGraph};
 use proptest::prelude::*;
 
@@ -45,16 +47,24 @@ fn reference(rows: &[Vec<(NodeId, f64)>], source: NodeId) -> Tree {
     (parent, dist)
 }
 
-/// A graph with a directed weight per arc and an include mask.
+/// A graph with a directed weight per arc and an include mask, plus the
+/// target lists of a sequence of resumptions.
 struct Instance {
     graph: UndirectedGraph,
     weight: HashMap<(u32, u32), f64>,
     include: Vec<bool>,
     source: NodeId,
+    stops: Vec<Vec<NodeId>>,
 }
 
 impl Instance {
-    fn new(n: usize, arcs: &[(u32, u32, f64, f64)], mask: &[u8], source: u32) -> Self {
+    fn new(
+        n: usize,
+        arcs: &[(u32, u32, f64, f64)],
+        mask: &[u8],
+        source: u32,
+        stops: Vec<Vec<u32>>,
+    ) -> Self {
         let mut graph = UndirectedGraph::new(n);
         let mut weight = HashMap::new();
         for &(a, b, ab, ba) in arcs {
@@ -70,6 +80,10 @@ impl Instance {
             // About one node in five is excluded.
             include: mask.iter().map(|&m| m != 0).collect(),
             source: NodeId::new(source),
+            stops: stops
+                .into_iter()
+                .map(|targets| targets.into_iter().map(NodeId::new).collect())
+                .collect(),
         }
     }
 
@@ -91,7 +105,8 @@ impl Instance {
             .collect()
     }
 
-    /// Both kernel arc sources against the reference.
+    /// Both kernel arc sources, and the rows grown in stops, against the
+    /// reference.
     fn check(&self) -> Result<(), TestCaseError> {
         let rows = self.rows();
         let (want_parent, want_dist) = reference(&rows, self.source);
@@ -107,12 +122,46 @@ impl Instance {
             shortest_path_tree(Rows(&rows), self.source, &mut scratch),
         ];
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for (parent, dist) in &runs {
-            prop_assert_eq!(parent, &want_parent);
-            prop_assert_eq!(bits(dist), bits(&want_dist));
+        for tree in &runs {
+            prop_assert_eq!(tree.parents(), want_parent.clone());
+            prop_assert_eq!(bits(tree.dist()), bits(&want_dist));
+            prop_assert!(tree.is_complete());
         }
+
+        let mut tree = SpTree::new(rows.len(), self.source);
+        for targets in &self.stops {
+            tree.grow_to(Rows(&rows), targets, &mut scratch);
+            for &t in targets {
+                // A target settles, unless the source cannot reach it.
+                prop_assert!(
+                    tree.is_settled(t)
+                        || (tree.is_complete() && want_dist[t.index()].is_infinite()),
+                    "target {} unsettled",
+                    t
+                );
+            }
+            for v in 0..rows.len() {
+                let node = NodeId::new(v as u32);
+                if tree.is_settled(node) {
+                    prop_assert_eq!(tree.parent(node), want_parent[v]);
+                    prop_assert_eq!(tree.dist()[v].to_bits(), want_dist[v].to_bits());
+                }
+            }
+            // A scratch left holding another tree's stopped heap must not
+            // leak into the next resume.
+            SpTree::new(rows.len(), targets[0]).grow_to(Rows(&rows), &[self.source], &mut scratch);
+        }
+        tree.grow_to_end(Rows(&rows), &mut scratch);
+        prop_assert!(tree.is_complete());
+        prop_assert_eq!(tree.parents(), want_parent);
+        prop_assert_eq!(bits(tree.dist()), bits(&want_dist));
         Ok(())
     }
+}
+
+/// 1–5 resumptions of 1–3 targets each among `n` nodes.
+fn stops(n: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec(proptest::collection::vec(0..n as u32, 1..=3), 1..=5)
 }
 
 /// Random graphs with real, direction-dependent weights.
@@ -121,8 +170,8 @@ fn random_instances() -> impl Strategy<Value = Instance> {
         let arcs =
             proptest::collection::vec((0..n as u32, 0..n as u32, 0.0..10.0, 0.0..10.0), 0..120);
         let mask = proptest::collection::vec(0u8..5, n);
-        (Just(n), arcs, mask, 0..n as u32)
-            .prop_map(|(n, arcs, mask, s)| Instance::new(n, &arcs, &mask, s))
+        (Just(n), arcs, mask, 0..n as u32, stops(n))
+            .prop_map(|(n, arcs, mask, s, stops)| Instance::new(n, &arcs, &mask, s, stops))
     })
 }
 
@@ -135,7 +184,8 @@ fn lattice_instances() -> impl Strategy<Value = Instance> {
         let weights = proptest::collection::vec((0u8..4, 0u8..4), lattice);
         let chords = proptest::collection::vec((0..n as u32, 0..n as u32, 0u8..4), 0..k);
         let mask = proptest::collection::vec(0u8..5, n);
-        (Just(k), weights, chords, mask, 0..n as u32).prop_map(|(k, weights, chords, mask, s)| {
+        let picks = (Just(k), weights, chords, mask, 0..n as u32, stops(n));
+        picks.prop_map(|(k, weights, chords, mask, s, stops)| {
             let id = |r: usize, c: usize| (r * k + c) as u32;
             let mut pairs = Vec::new();
             for r in 0..k {
@@ -158,7 +208,7 @@ fn lattice_instances() -> impl Strategy<Value = Instance> {
                     .into_iter()
                     .map(|(a, b, w)| (a, b, f64::from(w), f64::from(w))),
             );
-            Instance::new(k * k, &arcs, &mask, s)
+            Instance::new(k * k, &arcs, &mask, s, stops)
         })
     })
 }

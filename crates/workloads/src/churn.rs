@@ -33,7 +33,6 @@
 //! [`ReconfigNode`]: cbtc_core::reconfig::ReconfigNode
 
 use cbtc_core::protocol::GrowthConfig;
-use cbtc_core::reconfig::routing::SpTree;
 use cbtc_core::reconfig::{
     collect_topology, graph_delta, DeltaTopology, GeometricMetric, NdpConfig, NodeEvent,
     ReconfigNode,
@@ -41,7 +40,7 @@ use cbtc_core::reconfig::{
 use cbtc_core::CbtcConfig;
 use cbtc_geom::Alpha;
 use cbtc_graph::connectivity::same_partition;
-use cbtc_graph::paths::power_weight;
+use cbtc_graph::paths::{power_weight, SpTree};
 use cbtc_graph::unit_disk::unit_disk_graph_where;
 use cbtc_graph::{Layout, NodeId, UndirectedGraph};
 use cbtc_metrics::MetricsRegistry;
@@ -866,8 +865,8 @@ fn stretch_sample(
             if v == s {
                 continue;
             }
-            let a = d_sub.dist[v.index()];
-            let b = d_full.dist[v.index()];
+            let a = d_sub.dist()[v.index()];
+            let b = d_full.dist()[v.index()];
             if a.is_finite() && b.is_finite() {
                 if b > 0.0 {
                     pairs += 1;

@@ -375,6 +375,8 @@ struct StreamOutcome {
     /// `(local events done, shard snapshot)` at each `metrics_every`
     /// boundary.
     checkpoints: Vec<(u64, MetricsSnapshot)>,
+    /// The engine's trace records, in commit order (traced runs only).
+    records: Vec<TraceEvent>,
 }
 
 impl StreamOutcome {
@@ -400,13 +402,15 @@ impl StreamOutcome {
 /// Serves one stream: build the engine over the stream's sub-field,
 /// pump its whole event share through group commits, verify against a
 /// from-scratch construction. `config.streams` must be 1 (see
-/// [`stream_plan`]).
+/// [`stream_plan`]). With `trace_timing` set, the engine records into
+/// the stream's own in-memory trace (wall-clock timing as given),
+/// returned in the outcome's `records`.
 fn run_stream(
     config: &ServiceConfig,
     seed: u64,
     stream: u32,
     metrics_enabled: bool,
-    trace: Option<&TraceHandle>,
+    trace_timing: Option<bool>,
 ) -> StreamOutcome {
     let model = PowerLaw::paper_default();
     let cbtc = CbtcConfig::new(config.alpha);
@@ -435,9 +439,12 @@ fn run_stream(
     let stream_gauge = shard.gauge("serve.stream");
     let progress_gauge = shard.gauge("serve.events_done");
     stream_gauge.set(f64::from(stream));
-    if let Some(trace) = trace {
-        topo.set_trace(trace.clone());
-    }
+    let trace = trace_timing.map(|timing| {
+        let (handle, records) = TraceHandle::in_memory();
+        let handle = handle.with_timing(timing);
+        topo.set_trace(handle.clone());
+        (handle, records)
+    });
 
     let mut gen = EventGen {
         rng: StdRng::seed_from_u64(seed ^ 0x5E7C_E0D5),
@@ -467,6 +474,7 @@ fn run_stream(
         matches_scratch: false,
         snapshot: MetricsSnapshot::default(),
         checkpoints: Vec::new(),
+        records: Vec::new(),
     };
     let mut batch: Vec<NodeEvent> = Vec::with_capacity(cap);
     let mut kinds: Vec<Kind> = Vec::with_capacity(cap);
@@ -528,6 +536,9 @@ fn run_stream(
     outcome.final_edges = topo.graph().edge_count() as u64;
     progress_gauge.set(done as f64);
     outcome.snapshot = shard.snapshot();
+    if let Some((_, records)) = trace {
+        outcome.records = std::mem::take(&mut records.lock().expect("trace buffer"));
+    }
     outcome
 }
 
@@ -540,17 +551,20 @@ fn run_stream(
 /// process-wide `par.*` fan-out series) into the report's `metrics`;
 /// pass [`MetricsRegistry::disabled`] for none. When a trace is supplied
 /// the run streams a `Meta` header, every engine's per-commit `Reconfig`
-/// samples (stamped with the stream's local event clock), periodic
-/// [`TraceEvent::Metrics`] checkpoints (`metrics_every > 0`, metrics
-/// enabled) in ascending local-time order, and the final merged
-/// [`TraceEvent::Metrics`] record.
+/// samples (stamped with the stream's local event clock) stream by
+/// stream, periodic [`TraceEvent::Metrics`] checkpoints (nonzero
+/// `metrics_every`, metrics enabled) in ascending local-time order, and
+/// the final merged [`TraceEvent::Metrics`] record. Each stream records
+/// into its own in-memory trace with the caller's timing switch,
+/// appended to the caller's in stream order after the fan-out, so with
+/// timing off two same-seed traces are byte-identical at any worker
+/// count.
 ///
 /// Streams fan out through [`par_map`], one stream per item, on
 /// [`planned_threads`]`(streams, 1)` workers (`stream_workers` in the
 /// report), so [`cbtc_core::parallel::set_thread_cap`] applies. The
-/// outcome is bit-identical at any worker count: streams share nothing
-/// but the trace sink, and each stream's substream is deterministic in
-/// the seed.
+/// outcome is bit-identical at any worker count: streams share nothing,
+/// and each stream's substream is deterministic in the seed.
 /// Inside a stream worker the engine's own re-grow fan-out runs inline
 /// (the workers already own the cores); when the streams run inline —
 /// one stream, or one worker — the engine fans re-grows out itself.
@@ -615,10 +629,18 @@ pub fn run_service(
     let stream_workers = planned_threads(plans.len(), 1);
     let metrics_enabled = registry.is_enabled();
     let start = Instant::now();
-    let outcomes: Vec<StreamOutcome> = par_map(&plans, 1, |(s, plan, stream_seed)| {
-        run_stream(plan, *stream_seed, *s, metrics_enabled, trace)
+    let trace_timing = trace.map(TraceHandle::timing);
+    let mut outcomes: Vec<StreamOutcome> = par_map(&plans, 1, |(s, plan, stream_seed)| {
+        run_stream(plan, *stream_seed, *s, metrics_enabled, trace_timing)
     });
     let elapsed_secs = start.elapsed().as_secs_f64();
+    if let Some(trace) = trace {
+        for o in &mut outcomes {
+            for record in o.records.drain(..) {
+                trace.record(record);
+            }
+        }
+    }
 
     // Periodic checkpoints, ascending by local event time (ties by
     // stream) so the analyzer's timeline ordering holds however the

@@ -1,7 +1,8 @@
 //! `run_service` fans its streams out through `par_map`: the report's
 //! `stream_workers` is the thread count that fan-out planned, the
 //! process-wide `par.*` series record it, a thread cap of one serves the
-//! streams inline, and none of it changes the outcome.
+//! streams inline, and none of it changes the outcome or, with timing
+//! off, the trace.
 //!
 //! This is a test binary of its own because the thread cap and the
 //! fan-out instruments are process-global; its tests take turns.
@@ -12,6 +13,7 @@ use cbtc_core::parallel::{
     detected_cores, install_metrics, planned_threads, set_thread_cap, uninstall_metrics,
 };
 use cbtc_metrics::MetricsRegistry;
+use cbtc_trace::{MemorySink, TraceHandle};
 use cbtc_workloads::{run_service, ServiceConfig, ServiceReport};
 
 /// Serializes the tests: each sets the process-global cap and installs
@@ -94,4 +96,33 @@ fn a_cap_of_one_serves_the_streams_inline_with_equal_outcomes() {
         .any(|(name, _)| name == "reconfig.batches"));
     assert_eq!(capped_outcome, uncapped_outcome);
     assert_eq!(capped_counters, uncapped_counters);
+}
+
+/// Two streams served in parallel (on two or more cores) record their
+/// traces apart and append them in stream order: two same-seed runs with
+/// timing off write byte-identical JSONL, whatever the threads' timing.
+#[test]
+fn same_seed_multi_stream_traces_are_byte_identical() {
+    let _globals = take_globals();
+    set_thread_cap(None);
+    let config = ServiceConfig {
+        streams: 2,
+        batch_max: 8,
+        ..ServiceConfig::sized(400, 4000)
+    };
+    let trace = || {
+        let (handle, sink) = TraceHandle::in_memory();
+        let report = run_service(&config, 5, &MetricsRegistry::disabled(), Some(&handle));
+        assert!(report.matches_scratch);
+        assert_eq!(report.stream_workers as usize, planned_threads(2, 1));
+        let records = sink.lock().unwrap();
+        MemorySink::to_jsonl(&records)
+    };
+    let (first, second) = (trace(), trace());
+    assert!(
+        first.lines().count() > 100,
+        "{} records",
+        first.lines().count()
+    );
+    assert_eq!(first, second);
 }
