@@ -3,21 +3,28 @@
 //! phase (geometric, and shadowed with and without its per-ring
 //! admission screen), the three optimizations, the baseline spanners,
 //! one routing tree (full, and grown only until one or two random
-//! targets settle), and a full distributed-protocol simulation.
+//! targets settle), one `DeltaTopology` commit of 16 to 1024 moves, and
+//! a full distributed-protocol simulation. Each fan-out call site is
+//! also timed at one thread and uncapped near its floor (`…/cap1`,
+//! `…/uncapped`): construction at 2 × `PAR_MIN_CHUNK` nodes, a lifetime
+//! epoch's 32 one-target trees, and the commits.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 
 use cbtc_core::opt::{pairwise_removal, shrink_back, PairwisePolicy};
+use cbtc_core::parallel::{install_metrics, par_map_with, set_thread_cap, uninstall_metrics};
 use cbtc_core::phy::{AckGatedChannel, PhyChannel};
 use cbtc_core::protocol::{CbtcNode, GrowthConfig};
-use cbtc_core::reconfig::{GeometricMetric, LinkMetric};
+use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, LinkMetric, NodeEvent};
 use cbtc_core::{
     grow, grow_node_metric_scratch, run_basic, run_centralized, CbtcConfig, GrowScratch, Network,
+    PAR_MIN_CHUNK,
 };
 use cbtc_geom::gap::{has_alpha_gap, FlatGapTracker};
-use cbtc_geom::{Alpha, Angle};
+use cbtc_geom::{Alpha, Angle, Point2};
 use cbtc_graph::paths::{power_weight, shortest_path_tree, DijkstraScratch, Rows, SpTree};
 use cbtc_graph::{spanners, Layout, NodeId, RingIndex, SpatialGrid};
+use cbtc_metrics::MetricsRegistry;
 use cbtc_phy::{Shadowing, ShadowingMode};
 use cbtc_radio::{PathLoss, Power, PowerSchedule};
 use cbtc_sim::{Engine, FaultConfig};
@@ -216,6 +223,15 @@ fn bench_centralized(c: &mut Criterion) {
             });
         });
     }
+    // The smallest network whose grow, shrink-back and pairwise stages
+    // fan out: 2 × `PAR_MIN_CHUNK` nodes, at the paper's density.
+    let n = 2 * PAR_MIN_CHUNK;
+    let side = 1500.0 * (n as f64 / 100.0).sqrt();
+    let network = RandomPlacement::new(n, side, side, 500.0).generate(7);
+    let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
+    cap1_and_uncapped(&mut group, &format!("all_ops_2pi3_{n}"), || {
+        || run_centralized(&network, &config)
+    });
     group.finish();
 }
 
@@ -326,11 +342,135 @@ fn bench_routing(c: &mut Criterion) {
             });
         });
     }
+    // A lifetime epoch's tree fan-out at its floor: 2 × its
+    // `ROUTE_MIN_CHUNK` (16) fresh trees, each grown until one target
+    // settles, the cheapest job the fan-out hands a worker.
+    let jobs: Vec<(NodeId, NodeId)> = (0..32u32)
+        .map(|i| (NodeId::new(i * 31), targets[i as usize]))
+        .collect();
+    let grow_all = || {
+        par_map_with(
+            &jobs,
+            16,
+            DijkstraScratch::default,
+            |scratch, &(src, dst)| {
+                let mut tree = SpTree::new(n, src);
+                tree.grow_to(Rows(&rows), &[dst], scratch);
+                tree
+            },
+        )
+    };
+    cap1_and_uncapped(&mut group, "grow_until_1_x32_1000", || grow_all);
     // Graph, weight closure and include mask, pricing every relaxation.
     group.bench_function("sp_tree_compute_1000", |b| {
         b.iter(|| SpTree::compute(std::hint::black_box(&graph), source, &weight, |_| true));
     });
     group.finish();
+}
+
+/// `count` batches of `moves` distinct moves each over the first
+/// `active` slots of `layout`: a seeded random walk of steps up to 50 per
+/// axis, clamped to the `side`-wide field, as pipeline-bench `serve`
+/// moves its nodes.
+fn move_batches(
+    layout: &Layout,
+    active: usize,
+    side: f64,
+    moves: usize,
+    count: usize,
+) -> Vec<Vec<NodeEvent>> {
+    let mut state = 0x5EED_0001u64 ^ moves as u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut positions: Vec<Point2> = layout.iter().map(|(_, p)| p).collect();
+    let mut ids: Vec<u32> = (0..active as u32).collect();
+    (0..count)
+        .map(|_| {
+            // A partial Fisher–Yates shuffle picks the batch's movers.
+            (0..moves)
+                .map(|i| {
+                    let j = i + (next() * (active - i) as f64) as usize;
+                    ids.swap(i, j);
+                    let u = NodeId::new(ids[i]);
+                    let p = positions[u.index()];
+                    let p = Point2::new(
+                        (p.x + (next() * 2.0 - 1.0) * 50.0).clamp(0.0, side),
+                        (p.y + (next() * 2.0 - 1.0) * 50.0).clamp(0.0, side),
+                    );
+                    positions[u.index()] = p;
+                    NodeEvent::Move(u, p)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn bench_delta_apply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("delta_apply");
+    group.sample_size(30);
+    // pipeline-bench `serve`'s engine: 10k slots at a mean max-power
+    // degree of 18, 5 % on standby, the basic CBTC(5π/6) graph.
+    let (slots, range) = (10_000usize, 500.0);
+    let side = (slots as f64 * std::f64::consts::PI * range * range / 18.0).sqrt();
+    let layout = RandomPlacement::new(slots, side, side, range).generate_layout(1);
+    let active = slots - slots / 20;
+    let base = DeltaTopology::new(
+        layout.clone(),
+        (0..slots).map(|i| i < active).collect(),
+        range,
+        CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
+        false,
+        GeometricMetric,
+    );
+    for moves in [16usize, 64, 256, 1024] {
+        let batches = move_batches(&layout, active, side, moves, (4096 / moves).max(16));
+        // One pass over the batches, unmeasured: how many nodes a batch
+        // re-grows, and how many of its commits fan the re-grows out.
+        let registry = MetricsRegistry::enabled();
+        let mut probe = base.clone();
+        install_metrics(&registry);
+        let regrown: usize = batches
+            .iter()
+            .map(|batch| {
+                probe.apply(batch);
+                probe.last_regrown()
+            })
+            .sum();
+        uninstall_metrics();
+        eprintln!(
+            "  delta_apply/{moves}_moves: mean affected set {:.0} nodes, \
+             {} of {} commits fan out uncapped",
+            regrown as f64 / batches.len() as f64,
+            registry.snapshot().counter("par.fan_outs").unwrap_or(0),
+            batches.len(),
+        );
+        cap1_and_uncapped(&mut group, &format!("{moves}_moves"), || {
+            let mut topo = base.clone();
+            let mut next = batches.iter().cycle();
+            move || topo.apply(next.next().expect("cycle is endless"))
+        });
+    }
+    group.finish();
+}
+
+/// Times one fan-out call site at one thread (`{name}/cap1`) and
+/// uncapped (`{name}/uncapped`), each on a fresh routine from `prepare`:
+/// the method behind every `min_chunk` floor.
+fn cap1_and_uncapped<O, R: FnMut() -> O>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    prepare: impl Fn() -> R,
+) {
+    for (suffix, cap) in [("cap1", Some(1)), ("uncapped", None)] {
+        let mut routine = prepare();
+        set_thread_cap(cap);
+        group.bench_function(format!("{name}/{suffix}"), |b| b.iter(&mut routine));
+        set_thread_cap(None);
+    }
 }
 
 fn bench_distributed(c: &mut Criterion) {
@@ -375,6 +515,7 @@ criterion_group!(
     bench_spanners,
     bench_analysis,
     bench_routing,
+    bench_delta_apply,
     bench_distributed
 );
 criterion_main!(benches);

@@ -8,10 +8,18 @@
 //! deterministic output order, graceful sequential fallback when the input
 //! is small or the machine has a single core, and panic propagation from
 //! worker threads.
+//!
+//! The core count is read once per process ([`detected_cores`]), so
+//! deciding whether to fan out costs a few loads; the thread cap is still
+//! read on every call. A fan-out pays one scoped thread spawn per worker
+//! (44–54 µs for two on a 2-vCPU Linux VM), more than a small batch of
+//! microsecond jobs is worth, so each call site's `min_chunk` is a
+//! measured per-worker break-even: `hot_paths` times each site at one
+//! thread against uncapped.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use cbtc_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -97,11 +105,18 @@ fn par_metrics() -> Option<ParMetrics> {
     }
 }
 
-/// The number of hardware cores the fan-out can see.
+/// The number of hardware cores the fan-out can see, read once per
+/// process: `available_parallelism` re-reads the cgroup quota and the
+/// affinity mask on every call (15–19 µs on a 2-vCPU Linux VM, about as
+/// long as a whole one-event `DeltaTopology` commit), and every
+/// [`par_map_with`] asks.
 pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The worker-thread budget after applying the [`set_thread_cap`] cap:
@@ -348,9 +363,22 @@ mod tests {
     }
 
     #[test]
+    fn detected_cores_is_read_once() {
+        let expected = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(detected_cores(), expected);
+        for _ in 0..3 {
+            assert_eq!(detected_cores(), expected, "the cached count never changes");
+        }
+    }
+
+    #[test]
     fn thread_cap_clamps_planned_threads() {
         let _serial = exclusive();
-        assert!(detected_cores() >= 1);
+        // The core count is cached by the first read; the cap set and
+        // cleared after it must still take effect on every call.
+        let cores = detected_cores();
+        assert!(cores >= 1);
+        assert_eq!(effective_parallelism(), cores);
         assert_eq!(planned_threads(0, 8), 1);
         assert_eq!(planned_threads(10_000, usize::MAX), 1);
         set_thread_cap(Some(1));
@@ -362,11 +390,15 @@ mod tests {
         assert_eq!(out, vec![10, 20, 30]);
         set_thread_cap(None);
         assert_eq!(thread_cap(), None);
-        assert_eq!(effective_parallelism(), detected_cores());
+        assert_eq!(effective_parallelism(), cores);
+        assert_eq!(planned_threads(10_000, 1), cores);
+        set_thread_cap(Some(2));
+        assert_eq!(planned_threads(10_000, 1), cores.min(2));
         // A cap above the core count clamps down to it.
         set_thread_cap(Some(usize::MAX));
-        assert_eq!(effective_parallelism(), detected_cores());
+        assert_eq!(effective_parallelism(), cores);
         set_thread_cap(None);
+        assert_eq!(detected_cores(), cores);
     }
 
     #[test]

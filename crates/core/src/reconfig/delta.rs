@@ -636,14 +636,14 @@ impl<M: LinkMetric> DeltaTopology<M> {
         // ── E. Retire the dead nodes' views and reverse entries. ─────
         let shrink = self.config.shrink_back();
         for &d in &deaths {
-            for v in self.basic[d.index()].neighbor_ids() {
-                remove_sorted(&mut self.discovered_by_basic[v.index()], d);
+            for v in &self.basic[d.index()].discoveries {
+                remove_sorted(&mut self.discovered_by_basic[v.id.index()], d);
             }
             self.discovered_by_basic[d.index()].clear();
             self.basic[d.index()] = dead_view();
             if shrink {
-                for v in self.effective[d.index()].neighbor_ids() {
-                    remove_sorted(&mut self.discovered_by[v.index()], d);
+                for v in &self.effective[d.index()].discoveries {
+                    remove_sorted(&mut self.discovered_by[v.id.index()], d);
                 }
                 self.discovered_by[d.index()].clear();
                 self.effective[d.index()] = dead_view();
@@ -701,10 +701,11 @@ impl<M: LinkMetric> DeltaTopology<M> {
         // old views, the committed layout/grid/membership and the sorted
         // pair lists), so jobs are independent; per-worker scratch keeps
         // the fan-out allocation-free, exactly like construction. Output
-        // order is the affected order, so the sequential merge below is
-        // bit-identical to the old fused loop. On one core (or inside an
-        // outer fan-out, e.g. a sharded serve's stream threads) this runs
-        // inline with a single scratch — the pre-refactor behavior.
+        // order is the affected order whatever the thread count, so the
+        // sequential merge below is bit-identical either way. An affected
+        // set under 2 × `REGROW_MIN_CHUNK` (every serve-size commit),
+        // one core, or an outer fan-out (e.g. a sharded serve's stream
+        // threads) re-grows inline with a single scratch.
         let computed: Vec<(NodeView, bool)> = {
             let (basic, layout, grid, metric) =
                 (&self.basic, &self.layout, &self.grid, &self.metric);
@@ -745,30 +746,29 @@ impl<M: LinkMetric> DeltaTopology<M> {
             )
         };
 
-        // F3: merge in deterministic (affected) node order — the merge
-        // body is the old sequential loop's, byte for byte.
+        // F3: merge in deterministic (affected) node order.
         for (&u, (basic, grid_scanned)) in affected.iter().zip(computed) {
             if grid_scanned {
                 self.last_grid_scans += 1;
             }
             let basic_changed = !ids_equal_minus_dead(&self.basic[u.index()], &basic, &is_dead);
             if basic_changed {
-                for v in self.basic[u.index()].neighbor_ids() {
-                    remove_sorted(&mut self.discovered_by_basic[v.index()], u);
-                }
-                for v in basic.neighbor_ids() {
-                    insert_sorted(&mut self.discovered_by_basic[v.index()], u);
-                }
+                refile(
+                    &mut self.discovered_by_basic,
+                    u,
+                    &self.basic[u.index()],
+                    &basic,
+                );
             }
             if shrink {
                 let effective = shrink_back_view(&basic, self.config.alpha());
                 if !ids_equal_minus_dead(&self.effective[u.index()], &effective, &is_dead) {
-                    for v in self.effective[u.index()].neighbor_ids() {
-                        remove_sorted(&mut self.discovered_by[v.index()], u);
-                    }
-                    for v in effective.neighbor_ids() {
-                        insert_sorted(&mut self.discovered_by[v.index()], u);
-                    }
+                    refile(
+                        &mut self.discovered_by,
+                        u,
+                        &self.effective[u.index()],
+                        &effective,
+                    );
                     patch.push(u);
                 }
                 self.effective[u.index()] = effective;
@@ -814,9 +814,9 @@ impl<M: LinkMetric> DeltaTopology<M> {
         let mut connect = Vec::new();
         for &u in &patch {
             connect.clear();
-            for v in views[u.index()].neighbor_ids() {
-                if !asymmetric || views[v.index()].discovered(u) {
-                    connect.push(v);
+            for v in &views[u.index()].discoveries {
+                if !asymmetric || views[v.id.index()].discovered(u) {
+                    connect.push(v.id);
                 }
             }
             for &v in &reverse[u.index()] {
@@ -955,12 +955,34 @@ impl<M: LinkMetric> DeltaTopology<M> {
     }
 }
 
-/// The smallest slice of affected nodes worth handing a re-grow worker.
-/// Re-grows are heavier than construction grows on average (a replay
-/// still walks the cached prefix) but batches are smaller, so the chunk
-/// floor sits well below [`crate::PAR_MIN_CHUNK`]: a 64-node affected set can
-/// already fan out on two cores.
-const REGROW_MIN_CHUNK: usize = 32;
+/// The smallest slice of affected nodes worth handing a re-grow worker:
+/// a commit fans its re-grows out only when every worker gets at least
+/// this many. A re-grow costs about a microsecond (most replay their
+/// cached prefix), a worker spawn about fifty, so a 16-event commit's
+/// ~130 re-grows run inline while bursts of a few hundred moves or more
+/// (churn's drift, large group commits) fan out.
+///
+/// `hot_paths`' `delta_apply` group is the sweep behind the value:
+/// commits of 16 to 1024 moves on `cbtc serve`'s layout (10k slots, mean
+/// max-power degree 18), one thread against uncapped, with this floor
+/// lowered to 32 so that every size fans out. The gain is the one-thread
+/// median over the two-thread median, one value per run, from six runs
+/// in two sittings on a 2-vCPU Linux VM:
+///
+/// | moves | affected nodes | fan-out gain | runs it won |
+/// |------:|---------------:|-------------:|------------:|
+/// |    16 |            128 |   0.63–1.14× |      1 of 6 |
+/// |    64 |            499 |   0.80–0.93× |      0 of 6 |
+/// |   256 |          1,844 |   0.88–1.24× |      2 of 6 |
+/// |  1024 |          5,538 |   0.91–1.25× |      3 of 6 |
+///
+/// Up to ~500 affected nodes the spawn outweighs the work; from ~2,000
+/// the fan-out lost ~10 % in one sitting and won up to 25 % in the
+/// other, the host's load deciding. The floor sits at 512 per worker,
+/// between the two: serve-size commits never pay the spawn, while large
+/// bursts keep the parallel path (bit-identical, because
+/// [`par_map_with`]'s output order never depends on its thread count).
+const REGROW_MIN_CHUNK: usize = 512;
 
 /// One affected node's re-grow work order: its id plus the half-open
 /// ranges of the batch's sorted `removal_pairs` / `insertion_pairs`
@@ -1075,6 +1097,24 @@ fn ids_equal_minus_dead(old: &NodeView, new: &NodeView, is_dead: &[bool]) -> boo
         }
     }
     new_ids.next().is_none()
+}
+
+/// Updates a reverse discovery relation for `u`'s view changing from
+/// `old` to `new`: `u` leaves the lists of ids only `old` discovered and
+/// joins the lists of ids only `new` discovered; lists of ids both
+/// discovered already hold `u` and are not touched. Quadratic in the
+/// view size, which is bounded by the max-power degree.
+fn refile(reverse: &mut [Vec<NodeId>], u: NodeId, old: &NodeView, new: &NodeView) {
+    for d in &old.discoveries {
+        if !new.discovered(d.id) {
+            remove_sorted(&mut reverse[d.id.index()], u);
+        }
+    }
+    for d in &new.discoveries {
+        if !old.discovered(d.id) {
+            insert_sorted(&mut reverse[d.id.index()], u);
+        }
+    }
 }
 
 fn insert_sorted(list: &mut Vec<NodeId>, v: NodeId) {

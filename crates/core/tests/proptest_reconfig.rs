@@ -6,11 +6,15 @@
 //! effective-distance** metric with genuinely asymmetric links (against
 //! a guarded masked `construct` on the channel).
 
+use std::sync::{Mutex, MutexGuard};
+
+use cbtc_core::parallel::{detected_cores, install_metrics, set_thread_cap, uninstall_metrics};
 use cbtc_core::phy::{optimize_phy, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, LinkMetric, NodeEvent};
 use cbtc_core::{construct, grow, run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId, UndirectedGraph};
+use cbtc_metrics::MetricsRegistry;
 use cbtc_phy::{Shadowing, ShadowingMode};
 use cbtc_radio::PowerLaw;
 use proptest::prelude::*;
@@ -265,7 +269,7 @@ proptest! {
             true,
             metric.clone(),
         );
-        let registry = cbtc_metrics::MetricsRegistry::enabled();
+        let registry = MetricsRegistry::enabled();
         let mut observed = DeltaTopology::new(
             layout.clone(),
             vec![true; layout.len()],
@@ -298,17 +302,43 @@ proptest! {
     }
 }
 
-/// One large mixed batch whose affected set far exceeds the re-grow
-/// fan-out's chunk floor, judged against a from-scratch construction —
-/// and against a thread-capped run, so on multi-core hosts the parallel
-/// re-grow path is asserted bit-identical to the inline one.
+/// Serializes the tests that install the process-global fan-out
+/// instruments or thread cap. Every other test here grows a few dozen
+/// nodes at most, too few to ever fan out.
+fn take_globals() -> MutexGuard<'static, ()> {
+    static GLOBALS: Mutex<()> = Mutex::new(());
+    GLOBALS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `f` with the fan-out instruments installed and returns how many
+/// parallel fan-outs it made.
+fn counting_fan_outs(f: impl FnOnce()) -> u64 {
+    let registry = MetricsRegistry::enabled();
+    install_metrics(&registry);
+    f();
+    uninstall_metrics();
+    registry.snapshot().counter("par.fan_outs").unwrap_or(0)
+}
+
+/// Twice the re-grow fan-out's per-worker floor: an affected set must
+/// exceed it before a commit spreads its re-grows over two workers.
+const TWO_WORKER_FLOOR: usize = 2 * 512;
+
+/// One large mixed batch whose affected set exceeds the re-grow
+/// fan-out's floor for two workers, judged against a from-scratch
+/// construction — and against a thread-capped run, so on multi-core
+/// hosts the parallel re-grow path is asserted bit-identical to the
+/// inline one.
 #[test]
 fn large_batch_parallel_regrow_is_bit_identical_to_sequential() {
-    // A 17 × 17 grid with slight deterministic jitter, ~40 % churned in
+    let _globals = take_globals();
+    // A 48 × 48 grid with slight deterministic jitter, ~33 % churned in
     // one batch: every survivor near an event re-grows.
-    let n = 289usize;
-    let side = 2400.0;
-    let cols = 17usize;
+    let cols = 48usize;
+    let n = cols * cols;
+    let side = 2400.0 * cols as f64 / 17.0;
     let points: Vec<Point2> = (0..n)
         .map(|i| {
             let (r, c) = (i / cols, i % cols);
@@ -352,16 +382,24 @@ fn large_batch_parallel_regrow_is_bit_identical_to_sequential() {
         )
     };
     let mut parallel = build();
-    parallel.apply(&batch);
+    let fan_outs = counting_fan_outs(|| {
+        parallel.apply(&batch);
+    });
     assert!(
-        parallel.last_regrown() > 64,
-        "batch must push the affected set past the fan-out floor (got {})",
+        parallel.last_regrown() > TWO_WORKER_FLOOR,
+        "batch must push the affected set past the two-worker floor (got {})",
         parallel.last_regrown()
     );
+    if detected_cores() >= 2 {
+        assert!(fan_outs >= 1, "the re-grows must fan out on ≥ 2 cores");
+    }
     let mut capped = build();
-    cbtc_core::parallel::set_thread_cap(Some(1));
-    capped.apply(&batch);
-    cbtc_core::parallel::set_thread_cap(None);
+    set_thread_cap(Some(1));
+    let capped_fan_outs = counting_fan_outs(|| {
+        capped.apply(&batch);
+    });
+    set_thread_cap(None);
+    assert_eq!(capped_fan_outs, 0, "a cap of one thread re-grows inline");
     assert_eq!(
         parallel.graph(),
         capped.graph(),
@@ -373,4 +411,64 @@ fn large_batch_parallel_regrow_is_bit_identical_to_sequential() {
     let full: UndirectedGraph =
         run_centralized_masked(&network, &config, parallel.active()).into_final_graph();
     assert_eq!(parallel.graph(), &full, "batch apply drifted from scratch");
+}
+
+/// Serve-size commits re-grow inline: on `cbtc serve`'s density (10k
+/// slots, a mean max-power degree of 18, 5 % on standby) 16-move batches
+/// each re-grow more than 64 nodes, enough for two workers at a floor of
+/// 32, yet fewer than [`TWO_WORKER_FLOOR`], and no commit fans out.
+#[test]
+fn serve_size_batches_regrow_inline() {
+    let _globals = take_globals();
+    let (slots, range) = (10_000usize, 500.0);
+    let side = (slots as f64 * std::f64::consts::PI * range * range / 18.0).sqrt();
+    let mut state = 0xC0FFEEu64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut points: Vec<Point2> = (0..slots)
+        .map(|_| Point2::new(next() * side, next() * side))
+        .collect();
+    let active = slots - slots / 20;
+    let mut topo = DeltaTopology::new(
+        Layout::new(points.clone()),
+        (0..slots).map(|i| i < active).collect(),
+        range,
+        CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
+        false,
+        GeometricMetric,
+    );
+    let mut regrown = Vec::new();
+    let fan_outs = counting_fan_outs(|| {
+        for _ in 0..8 {
+            let mut movers: Vec<usize> = Vec::new();
+            while movers.len() < 16 {
+                let u = (next() * active as f64) as usize;
+                if !movers.contains(&u) {
+                    movers.push(u);
+                }
+            }
+            let batch: Vec<NodeEvent> = movers
+                .iter()
+                .map(|&u| {
+                    let p = points[u];
+                    points[u] = Point2::new(
+                        (p.x + (next() * 2.0 - 1.0) * 50.0).clamp(0.0, side),
+                        (p.y + (next() * 2.0 - 1.0) * 50.0).clamp(0.0, side),
+                    );
+                    NodeEvent::Move(NodeId::new(u as u32), points[u])
+                })
+                .collect();
+            topo.apply(&batch);
+            regrown.push(topo.last_regrown());
+        }
+    });
+    assert!(
+        regrown.iter().all(|&r| r > 64 && r < TWO_WORKER_FLOOR),
+        "affected sets {regrown:?}"
+    );
+    assert_eq!(fan_outs, 0, "serve-size commits must re-grow inline");
 }

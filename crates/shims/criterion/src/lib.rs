@@ -6,7 +6,10 @@
 //! `criterion_main!`) over a simple wall-clock harness: each benchmark is
 //! warmed up briefly, then timed over a fixed number of samples, and the
 //! median/min per-iteration times are printed. No statistics, plots or
-//! baselines — just enough to keep `cargo bench` meaningful offline.
+//! baselines — just enough to keep `cargo bench` meaningful offline. As
+//! with criterion, a command-line argument filters the benchmarks by
+//! substring (`cargo bench --bench hot_paths -- delta_apply`); a group's
+//! setup code still runs, only the timing is skipped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,11 +23,16 @@ pub use std::hint::black_box;
 #[derive(Debug)]
 pub struct Criterion {
     sample_size: usize,
+    /// Only benchmarks whose full name contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 30 }
+        Criterion {
+            sample_size: 30,
+            filter: std::env::args().skip(1).find(|arg| !arg.starts_with('-')),
+        }
     }
 }
 
@@ -34,7 +42,7 @@ impl Criterion {
         let name = name.into();
         eprintln!("group {name}");
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name,
             sample_size: 30,
         }
@@ -45,15 +53,23 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(name, self.sample_size, &mut f);
+        if self.selects(name) {
+            run_benchmark(name, self.sample_size, &mut f);
+        }
         self
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter))
     }
 }
 
 /// A group of related benchmarks (prefix shared in the report).
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
 }
@@ -70,12 +86,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        run_benchmark(
-            &format!("{}/{}", self.name, id.id),
-            self.sample_size,
-            &mut f,
-        );
+        let name = format!("{}/{}", self.name, id.into().id);
+        if self.criterion.selects(&name) {
+            run_benchmark(&name, self.sample_size, &mut f);
+        }
         self
     }
 
@@ -89,12 +103,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let id = id.into();
-        run_benchmark(
-            &format!("{}/{}", self.name, id.id),
-            self.sample_size,
-            &mut |b| f(b, input),
-        );
+        let name = format!("{}/{}", self.name, id.into().id);
+        if self.criterion.selects(&name) {
+            run_benchmark(&name, self.sample_size, &mut |b| f(b, input));
+        }
         self
     }
 
